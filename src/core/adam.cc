@@ -36,17 +36,6 @@ uint32_t RowIndex::FindOrInsert(size_t offset, uint32_t len, bool* inserted) {
   }
 }
 
-bool RowIndex::Contains(size_t offset) const {
-  if (table_.empty()) return false;
-  size_t slot = Hash(offset) & mask_;
-  while (true) {
-    const uint32_t id_plus1 = table_[slot];
-    if (id_plus1 == 0) return false;
-    if (entries_[id_plus1 - 1].offset == offset) return true;
-    slot = (slot + 1) & mask_;
-  }
-}
-
 void RowIndex::Rehash(size_t new_slots) {
   table_.assign(new_slots, 0);
   mask_ = new_slots - 1;
@@ -140,24 +129,6 @@ void SparseAdam::Step(const GradBuffer& grads, float* params,
     MarkRow(offset, static_cast<uint32_t>(len));
     UpdateRow(offset, g, len, bc1, bc2, params, stats);
   });
-}
-
-void SparseAdam::StepAt(uint64_t step, const GradBuffer& grads, float* params,
-                        BankedDirty* dirty, StepStats* stats) {
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(step));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(step));
-  grads.ForEach([&](size_t offset, const float* g, size_t len) {
-    dirty->emplace_back(offset, static_cast<uint32_t>(len));
-    UpdateRow(offset, g, len, bc1, bc2, params, stats);
-  });
-}
-
-void SparseAdam::StepScalarAt(uint64_t step, size_t offset, float grad,
-                              float* params) {
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(step));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(step));
-  MarkRow(offset, 1);
-  UpdateRow(offset, &grad, 1, bc1, bc2, params, nullptr);
 }
 
 void SparseAdam::Restore(const State& state) {

@@ -41,11 +41,6 @@ class RowIndex {
   /// offset.
   uint32_t FindOrInsert(size_t offset, uint32_t len, bool* inserted);
 
-  /// Probe-only lookup: true when `offset` has an entry. Never mutates, so
-  /// the ingest dispatcher can test a candidate edge's rows against a
-  /// group's accumulated footprint before deciding to admit it.
-  bool Contains(size_t offset) const;
-
   /// Entries in insertion order.
   const std::vector<Entry>& entries() const { return entries_; }
 
@@ -169,24 +164,6 @@ class SparseAdam {
   /// in-order dirty merge (DirtyRowSet itself is not thread-safe).
   using BankedDirty = std::vector<std::pair<size_t, uint32_t>>;
 
-  /// Applies the accumulated gradients as optimizer step `step` WITHOUT
-  /// advancing the global counter or touching the shared dirty set:
-  /// touched rows are appended to `dirty` instead. Same per-row math as
-  /// Step() bit-for-bit. This is the multi-writer commit path — the
-  /// ingest dispatcher pins each edge's step number at plan time (arrival
-  /// order), workers apply their row updates concurrently on disjoint
-  /// rows, and the dispatcher advances the counter at commit.
-  /// `stats` is per-call (each worker passes its own), so concurrent
-  /// executors never share an accumulator.
-  void StepAt(uint64_t step, const GradBuffer& grads, float* params,
-              BankedDirty* dirty, StepStats* stats = nullptr);
-
-  /// Single 1-float-row step at `step` for deferred α commits. Runs on
-  /// the dispatcher, so it marks the row dirty directly. Takes a float
-  /// because the serial path accumulates scalar gradients in float
-  /// (GradBuffer rows); a double here would break bit-identity.
-  void StepScalarAt(uint64_t step, size_t offset, float grad, float* params);
-
   /// Global step count so far.
   uint64_t step_count() const { return step_; }
   /// Rewinds the step counter (delta-snapshot restore).
@@ -249,13 +226,12 @@ class SparseAdam {
 
  private:
   /// One row's moment + parameter update at bias corrections (bc1, bc2).
-  /// Shared by Step/StepAt/StepScalarAt so every entry point computes
-  /// bit-identical floats. `stats` (nullable) accumulates observability
-  /// norms without touching the update math.
+  /// `stats` (nullable) accumulates observability norms without touching
+  /// the update math.
   void UpdateRow(size_t offset, const float* g, size_t len, double bc1,
                  double bc2, float* params, StepStats* stats);
 
-  /// The single marking point behind Step/StepScalarAt/MarkDirty: keeps
+  /// The single marking point behind Step/MarkDirty: keeps
   /// both dirty sets in lock-step so checkpoint tracking can never miss a
   /// row the rollback machinery saw.
   void MarkRow(size_t offset, uint32_t len) {

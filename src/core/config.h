@@ -62,23 +62,6 @@ struct SupaConfig {
   bool use_update_decay = true;
 };
 
-/// Commit-semantics mode of the multi-writer ingest pipeline
-/// (DESIGN.md §13). Both modes plan (sample) edges serially in arrival
-/// order, so the RNG stream, the sampled walks/negatives, and the final
-/// edge set are always identical to the serial trainer's.
-enum class IngestMode {
-  /// One edge's math commits at a time (pipelined with the sampling of
-  /// the next edge). Bit-identical to the serial trainer at any writer
-  /// count — pinned by the ingest invariance test.
-  kStrict,
-  /// Row-disjoint runs of consecutive edges execute their embedding math
-  /// concurrently; α drift updates are folded in at the group barrier in
-  /// arrival order. Deterministic (independent of writer count and
-  /// scheduling), same edge set and optimizer-step numbering as serial;
-  /// diverges from strict only through within-group α staleness.
-  kFast,
-};
-
 /// InsLearn workflow parameters (Algorithm 1), defaults per §IV-C.
 struct InsLearnConfig {
   /// S_batch.
@@ -124,12 +107,12 @@ struct InsLearnConfig {
   /// reduced in shard order (see util/thread_pool.h).
   size_t threads = 0;
   /// Concurrent writer (embedding-math executor) threads for the ingest
-  /// pipeline. 0 defers to SUPA_WRITER_THREADS (then 1); 1 keeps the
-  /// historical serial TrainEdge loop. Values > 1 route training through
-  /// IngestPipeline (core/ingest.h) in `ingest_mode`.
+  /// pipeline. 0 and 1 keep the serial TrainEdge loop — the bit-exact
+  /// Algorithm 1 reference. Values > 1 route training through
+  /// IngestPipeline (core/ingest.h): deterministic and independent of the
+  /// writer count, but not bit-identical to the serial loop (DESIGN.md
+  /// §13).
   size_t writer_threads = 0;
-  /// Commit semantics when writer_threads > 1; see IngestMode.
-  IngestMode ingest_mode = IngestMode::kStrict;
   /// Durability hook (core/durability.h): when set, the single-pass
   /// trainer calls OnCheckpoint at its durable cut points — once before
   /// the first batch, then at batch boundaries per `ckpt_interval`, and

@@ -10,30 +10,19 @@
 
 namespace supa {
 
-IngestPipeline::IngestPipeline(SupaModel& model, IngestOptions options)
-    : model_(model),
-      options_([&options] {
-        IngestOptions o = options;
-        if (o.writers == 0) o.writers = 1;
-        if (o.max_group_edges == 0) o.max_group_edges = 1;
-        return o;
-      }()),
-      group_cap_(options_.mode == IngestMode::kStrict
-                     ? 1
-                     : options_.max_group_edges) {
-  for (Group& g : groups_) g.plans.resize(group_cap_);
+IngestPipeline::IngestPipeline(SupaModel& model, size_t writers)
+    : model_(model), writers_(writers == 0 ? 1 : writers) {
+  for (Group& g : groups_) g.plans.resize(kMaxGroupEdges);
   // One scratch per writer plus one for the dispatcher's work-stealing
-  // wait (index options_.writers).
-  scratches_.resize(options_.writers + 1);
+  // wait (index writers_).
+  scratches_.resize(writers_ + 1);
   // Value-initialized arrays: all per-writer counts start at zero.
-  writer_executed_ =
-      std::make_unique<std::atomic<uint64_t>[]>(options_.writers + 1);
-  writer_cycles_ =
-      std::make_unique<std::atomic<uint64_t>[]>(options_.writers + 1);
+  writer_executed_ = std::make_unique<std::atomic<uint64_t>[]>(writers_ + 1);
+  writer_cycles_ = std::make_unique<std::atomic<uint64_t>[]>(writers_ + 1);
   writer_llc_misses_ =
-      std::make_unique<std::atomic<uint64_t>[]>(options_.writers + 1);
+      std::make_unique<std::atomic<uint64_t>[]>(writers_ + 1);
   writer_task_clock_ns_ =
-      std::make_unique<std::atomic<uint64_t>[]>(options_.writers + 1);
+      std::make_unique<std::atomic<uint64_t>[]>(writers_ + 1);
 
   auto& reg = obs::MetricsRegistry::Global();
   planned_counter_ = reg.GetCounter("ingest.planned_edges");
@@ -53,10 +42,8 @@ IngestPipeline::~IngestPipeline() = default;
 
 std::vector<obs::StatusItem> IngestPipeline::StatusItems() const {
   std::vector<obs::StatusItem> items;
-  items.push_back(
-      {"mode", options_.mode == IngestMode::kStrict ? "strict" : "fast"});
-  items.push_back({"writers", std::to_string(options_.writers)});
-  items.push_back({"group_cap", std::to_string(group_cap_)});
+  items.push_back({"writers", std::to_string(writers_)});
+  items.push_back({"group_cap", std::to_string(kMaxGroupEdges)});
   items.push_back(
       {"committed_edges",
        std::to_string(committed_.load(std::memory_order_relaxed))});
@@ -64,7 +51,7 @@ std::vector<obs::StatusItem> IngestPipeline::StatusItems() const {
   // something (task-clock is nonzero on every tier of the ladder).
   const bool have_perf =
       writer_task_clock_ns_[0].load(std::memory_order_relaxed) != 0 ||
-      writer_task_clock_ns_[options_.writers].load(
+      writer_task_clock_ns_[writers_].load(
           std::memory_order_relaxed) != 0;
   auto writer_rows = [&](const std::string& label, size_t w) {
     items.push_back(
@@ -82,10 +69,10 @@ std::vector<obs::StatusItem> IngestPipeline::StatusItems() const {
                                         std::memory_order_relaxed) /
                                     1000000)});
   };
-  for (size_t w = 0; w < options_.writers; ++w) {
+  for (size_t w = 0; w < writers_; ++w) {
     writer_rows("writer_" + std::to_string(w), w);
   }
-  writer_rows("dispatcher", options_.writers);
+  writer_rows("dispatcher", writers_);
   return items;
 }
 
@@ -101,25 +88,17 @@ void IngestPipeline::FoldWriterPerf(size_t w, const obs::PerfDelta& delta) {
 void IngestPipeline::FormGroup(Group* g, const std::vector<TemporalEdge>& edges,
                                bool observe_edges, double* observe_seconds) {
   g->count = 0;
-  // Both modes commit under the whole-store lease; kStrict additionally
-  // holds it across execution (Launch).
-  g->mask = model_.graph_store().all_shards_mask();
   if (!error_.ok()) return;
   SUPA_TRACE_SPAN_CAT("ingest/form_group", "ingest");
   SUPA_PERF_SCOPE(kIngestPlan);
-  const bool deferred = options_.mode == IngestMode::kFast;
 
-  while (g->count < group_cap_) {
+  while (g->count < kMaxGroupEdges) {
     EdgePlan& slot = g->plans[g->count];
     if (next_edge_ >= span_end_) break;
     const TemporalEdge& e = edges[next_edge_];
-    // kStrict banks the full serial RNG draw (walks, negatives) here, in
-    // arrival order; kFast defers sampling to the executor's per-step
-    // stream and only banks the pre-observation graph reads.
-    const Status st =
-        deferred ? model_.PlanEdgeDeferred(e, TrainOptions{}, &slot)
-                 : model_.PlanEdge(e, TrainOptions{}, /*want_footprint=*/false,
-                                   &slot);
+    // Sampling is deferred to the executor's per-step stream; the plan
+    // banks only the pre-observation graph reads.
+    const Status st = model_.PlanEdgeDeferred(e, TrainOptions{}, &slot);
     if (!st.ok()) {
       error_ = st;
       return;
@@ -128,14 +107,12 @@ void IngestPipeline::FormGroup(Group* g, const std::vector<TemporalEdge>& edges,
     planned_counter_.Increment();
     ++next_edge_;
     if (observe_edges) {
-      // Observation right after the plan keeps the serial graph/RNG
-      // order: plan(i) draws before observe(i) mutates the graph, and
-      // plan(i+1) sees edge i inserted — exactly like the serial
-      // train-then-observe loop, since the math never reads the graph.
-      // (kFast samples at execute time instead, but observing iterations
-      // never overlap execution — see TrainSpan — so every executor
-      // still samples the same post-observe graph state regardless of
-      // writer count.)
+      // Observation right after the plan keeps plan(i)'s last-active
+      // reads ahead of observe(i), like the serial train-then-observe
+      // loop. Executors sample at execute time, but observing iterations
+      // never overlap execution (see TrainSpan), so every executor
+      // samples the same post-observe graph state regardless of writer
+      // count.
       StopwatchGuard guard(observe_seconds);
       const Status ost = model_.ObserveEdge(e);
       if (!ost.ok()) error_ = ost;  // e still trains, like serial
@@ -145,45 +122,39 @@ void IngestPipeline::FormGroup(Group* g, const std::vector<TemporalEdge>& edges,
   }
 }
 
-void IngestPipeline::AcquireCommitLease(Group* g) {
+store::ShardWriteLease IngestPipeline::AcquireCommitLease() {
   store::GraphStore& store = model_.graph_store();
+  const uint64_t mask = store.all_shards_mask();
   Timer wait;
-  if (!store.TryLeaseMask(g->mask, &g->lease)) {
+  store::ShardWriteLease lease;
+  if (!store.TryLeaseMask(mask, &lease)) {
     SUPA_TRACE_SPAN_CAT("ingest/lease_wait", "ingest");
-    g->lease = store.LeaseMask(g->mask);
+    lease = store.LeaseMask(mask);
   }
   lease_wait_hist_.Observe(wait.ElapsedSeconds() * 1e6);
+  return lease;
 }
 
 void IngestPipeline::Launch(Group* g) {
-  const bool deferred = options_.mode == IngestMode::kFast;
-  // kStrict executors write rows (StepAt), so the store lease spans the
-  // whole execute window. kFast executors only *read* embeddings — all
-  // writes wait for Commit — so the lease is taken there instead and
+  // Executors only *read* embeddings — all writes wait for Commit — so
   // snapshot publishes can interleave with execution.
-  if (!deferred) AcquireCommitLease(g);
-
   g->next_plan.store(0, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lk(g->mu);
     g->done = false;
   }
-  const size_t tasks = std::min(options_.writers, g->count);
+  const size_t tasks = std::min(writers_, g->count);
   g->pending_tasks.store(tasks, std::memory_order_relaxed);
   ThreadPool& pool = ThreadPool::Shared();
   for (size_t w = 0; w < tasks; ++w) {
-    pool.Submit([this, g, w, deferred] {
+    pool.Submit([this, g, w] {
       SupaModel::ExecScratch& scratch = scratches_[w];
       obs::PerfDelta perf;
       size_t i;
       while ((i = g->next_plan.fetch_add(1, std::memory_order_relaxed)) <
              g->count) {
         SUPA_PERF_SCOPE_OUT(kIngestExecute, &perf);
-        if (deferred) {
-          model_.ExecutePlanDeferred(&g->plans[i], &scratch);
-        } else {
-          model_.ExecutePlan(&g->plans[i], &scratch);
-        }
+        model_.ExecutePlanDeferred(&g->plans[i], &scratch);
         executed_counter_.Increment();
         writer_executed_[w].fetch_add(1, std::memory_order_relaxed);
       }
@@ -205,23 +176,17 @@ void IngestPipeline::WaitExecuted(Group* g) {
   // pipeline's cost near the serial loop's (no idle blocking while a
   // queued task waits for a core); on idle multi-core hosts the workers
   // usually empty the counter first and this loop exits immediately.
-  const bool deferred = options_.mode == IngestMode::kFast;
-  SupaModel::ExecScratch& scratch = scratches_[options_.writers];
+  SupaModel::ExecScratch& scratch = scratches_[writers_];
   obs::PerfDelta perf;
   size_t i;
   while ((i = g->next_plan.fetch_add(1, std::memory_order_relaxed)) <
          g->count) {
     SUPA_PERF_SCOPE_OUT(kIngestExecute, &perf);
-    if (deferred) {
-      model_.ExecutePlanDeferred(&g->plans[i], &scratch);
-    } else {
-      model_.ExecutePlan(&g->plans[i], &scratch);
-    }
+    model_.ExecutePlanDeferred(&g->plans[i], &scratch);
     executed_counter_.Increment();
-    writer_executed_[options_.writers].fetch_add(1,
-                                                 std::memory_order_relaxed);
+    writer_executed_[writers_].fetch_add(1, std::memory_order_relaxed);
   }
-  FoldWriterPerf(options_.writers, perf);
+  FoldWriterPerf(writers_, perf);
   std::unique_lock<std::mutex> lk(g->mu);
   g->cv.wait(lk, [g] { return g->done; });
 }
@@ -230,34 +195,27 @@ void IngestPipeline::Commit(
     Group* g, const std::function<void(const TrainStats&)>& on_edge) {
   SUPA_TRACE_SPAN_CAT("ingest/commit", "ingest");
   SUPA_PERF_SCOPE(kIngestCommit);
-  const bool deferred = options_.mode == IngestMode::kFast;
-  if (deferred) {
-    AcquireCommitLease(g);
-    footprint_.Clear();
-  }
+  store::ShardWriteLease lease = AcquireCommitLease();
+  footprint_.Clear();
   for (size_t i = 0; i < g->count; ++i) {
-    if (deferred) {
-      // Divergence diagnostic: an edge whose gradient rows overlap an
-      // earlier same-group edge computed against group-start values that
-      // the earlier commit has since changed. Deterministic (depends only
-      // on the edge sequence and group boundaries), surfaced as
-      // ingest.conflict_serializations.
-      bool stale = false;
-      g->plans[i].grads.ForEach([&](size_t offset, const float*,
-                                    uint32_t len) {
-        bool inserted = false;
-        footprint_.FindOrInsert(offset, len, &inserted);
-        if (!inserted) stale = true;
-      });
-      if (stale) conflict_counter_.Increment();
-      model_.CommitPlanDeferred(g->plans[i]);
-    } else {
-      model_.CommitPlan(g->plans[i]);
-    }
+    // Divergence diagnostic: an edge whose gradient rows overlap an
+    // earlier same-group edge computed against group-start values that
+    // the earlier commit has since changed. Deterministic (depends only on
+    // the edge sequence and group boundaries), surfaced as
+    // ingest.conflict_serializations.
+    bool stale = false;
+    g->plans[i].grads.ForEach([&](size_t offset, const float*,
+                                  uint32_t len) {
+      bool inserted = false;
+      footprint_.FindOrInsert(offset, len, &inserted);
+      if (!inserted) stale = true;
+    });
+    if (stale) conflict_counter_.Increment();
+    model_.CommitPlanDeferred(g->plans[i]);
     committed_.fetch_add(1, std::memory_order_relaxed);
     if (on_edge) on_edge(g->plans[i].stats);
   }
-  g->lease.Release();
+  lease.Release();
   groups_counter_.Increment();
   group_edges_hist_.Observe(static_cast<double>(g->count));
 }
@@ -283,9 +241,8 @@ Status IngestPipeline::TrainSpan(
   while (cur->count > 0) {
     Launch(cur);
     // Overlap: plan the next group while this one's math executes — but
-    // only when not observing, because ObserveEdge leases endpoint shards
-    // and the dispatcher is currently holding the group lease (a
-    // self-deadlock on a std::mutex).
+    // only when not observing, because ObserveEdge mutates the graph the
+    // executors are sampling (see the overlap rule in ingest.h).
     if (!observe_edges) FormGroup(nxt, edges, observe_edges, &observe_acc);
     WaitExecuted(cur);
     Commit(cur, on_edge);

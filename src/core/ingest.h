@@ -8,43 +8,35 @@
 //     in arrival order, pinning each edge's optimizer step number, and
 //     batches consecutive plans into a *group* fanned out to writer tasks
 //     on the shared thread pool.
-//   * Writer tasks execute the plans' embedding math — never the graph,
-//     the model RNG, or the optimizer's counters.
+//   * Writer tasks sample and compute each plan's gradient — reading the
+//     graph and embeddings, never writing them, the model RNG, or the
+//     optimizer's counters.
 //   * When the group's math has drained, the dispatcher *commits* each
 //     plan in arrival order and releases the store lease, so the applied
 //     update sequence is pinned to batch-arrival order at any writer
 //     count.
 //
-// Modes (IngestMode in core/config.h):
-//   * kStrict caps groups at one edge. PlanEdge banks the full serial RNG
-//     draw (walks, then negatives) on the dispatcher; ExecutePlan applies
-//     row updates via StepAt under the group lease while the next edge is
-//     being planned. Results are bit-identical to the serial trainer at
-//     any writer count (pinned by core_ingest_pipeline_test) — the
-//     pipeline only overlaps planning with math.
-//   * kFast batches up to max_group_edges consecutive edges per group and
-//     moves the sampling *into* the parallel execute stage: each executor
-//     draws from a private counter-based RNG keyed by (seed, step) and
-//     computes the edge's full gradient against the frozen group-start
-//     embeddings (reads only — no lease held during execution). The
-//     dispatcher then applies each plan with the ordinary serial
-//     optimizer step at commit, under the store lease, in arrival order.
-//     Results are deterministic and writer-count-independent — grouping
-//     and the per-step RNG depend only on the edge sequence — but diverge
-//     from the serial trainer in two documented ways: the per-step RNG
-//     streams differ from the serial draw order, and edges sharing rows
-//     within one group compute gradients against group-start values
-//     (stale reads, surfaced as ingest.conflict_serializations; the
-//     arrival-order commit means no update is ever lost).
+// Semantics: each group holds up to kMaxGroupEdges consecutive edges, and
+// the sampling runs *inside* the parallel execute stage: each executor
+// draws from a private counter-based RNG keyed by (seed, step) and
+// computes the edge's full gradient against the frozen group-start
+// embeddings (reads only — no lease held during execution). The
+// dispatcher then applies each plan with the ordinary serial optimizer
+// step at commit, under the store lease, in arrival order. Results are
+// deterministic and writer-count-independent — grouping and the per-step
+// RNG depend only on the edge sequence — but diverge from the serial
+// trainer in two documented ways: the per-step RNG streams differ from
+// the serial draw order, and edges sharing rows within one group compute
+// gradients against group-start values (stale reads, surfaced as
+// ingest.conflict_serializations; the arrival-order commit means no
+// update is ever lost). The serial TrainEdge loop (writer_threads <= 1)
+// stays the bit-exact reference.
 //
-// Deadlock/overlap rule: while the dispatcher holds a group lease it must
-// not observe edges (ObserveEdge leases endpoint shards and would block on
-// locks the dispatcher itself holds). TrainSpan therefore overlaps
-// planning with group execution only on non-observing iterations; on the
-// observing (first) iteration of a batch it plans between commits. kFast
-// keeps the same rule for a second reason: ObserveEdge mutates the graph
-// adjacency and periodically rebuilds the negative table, which executors
-// read while sampling — observing strictly between groups keeps those
+// Overlap rule: ObserveEdge mutates the graph adjacency and periodically
+// rebuilds the negative table, which executors read while sampling.
+// TrainSpan therefore overlaps planning with group execution only on
+// non-observing iterations; on the observing (first) iteration of a batch
+// it plans between commits. Observing strictly between groups keeps those
 // reads race-free and the sampled graph state writer-count-independent.
 
 #ifndef SUPA_CORE_INGEST_H_
@@ -52,14 +44,12 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
 
-#include "core/config.h"
 #include "core/model.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
@@ -68,36 +58,18 @@
 
 namespace supa {
 
-/// Resolves the writer-thread knob: explicit request, then the
-/// SUPA_WRITER_THREADS environment variable, then 1 (serial).
-inline size_t ResolveWriterThreads(size_t requested) {
-  if (requested == 0) {
-    if (const char* env = std::getenv("SUPA_WRITER_THREADS")) {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(env, &end, 10);
-      if (end != env && *end == '\0') requested = parsed;
-    }
-  }
-  if (requested == 0) requested = 1;
-  return requested;
-}
-
-struct IngestOptions {
-  /// Concurrent executor tasks per group (resolved; >= 1).
-  size_t writers = 1;
-  IngestMode mode = IngestMode::kStrict;
-  /// Group-size cap in kFast mode. Writer-count-independent on purpose:
-  /// grouping (and therefore every result) depends only on the edge
-  /// sequence, so fast-mode output is identical at 2 or 8 writers.
-  size_t max_group_edges = 32;
-};
-
 /// Drives a span of training edges through the plan/execute/commit
 /// pipeline. One instance per training run; reusable across spans. Not
 /// thread-safe — TrainSpan runs on one dispatcher thread at a time.
 class IngestPipeline {
  public:
-  IngestPipeline(SupaModel& model, IngestOptions options);
+  /// Group-size cap. Writer-count-independent on purpose: grouping (and
+  /// therefore every result) depends only on the edge sequence, so the
+  /// output is identical at 2 or 8 writers.
+  static constexpr size_t kMaxGroupEdges = 32;
+
+  /// `writers` concurrent executor tasks per group (0 is treated as 1).
+  IngestPipeline(SupaModel& model, size_t writers);
   ~IngestPipeline();
 
   IngestPipeline(const IngestPipeline&) = delete;
@@ -105,7 +77,7 @@ class IngestPipeline {
 
   /// Trains edges [begin, end) of `edges`, equivalent to the serial loop
   ///   for i: TrainEdge(edges[i]); if (observe_edges) ObserveEdge(edges[i]);
-  /// under this pipeline's mode semantics. `on_edge` runs on the
+  /// under the pipeline's semantics (file comment). `on_edge` runs on the
   /// dispatcher once per committed edge, in arrival order. Wall time
   /// spent inside ObserveEdge is added to *observe_seconds, the rest of
   /// the span to *train_seconds.
@@ -114,17 +86,13 @@ class IngestPipeline {
                    const std::function<void(const TrainStats&)>& on_edge,
                    double* train_seconds, double* observe_seconds);
 
-  const IngestOptions& options() const { return options_; }
-
  private:
-  /// One in-flight group of row-disjoint plans plus its fan-out state.
+  /// One in-flight group of consecutive plans plus its fan-out state.
   /// Two instances alternate so the dispatcher can plan the next group
   /// while the current one executes.
   struct Group {
-    std::vector<EdgePlan> plans;  // capacity = group cap; [0, count) live
+    std::vector<EdgePlan> plans;  // kMaxGroupEdges slots; [0, count) live
     size_t count = 0;
-    uint64_t mask = 0;
-    store::ShardWriteLease lease;
     std::atomic<size_t> next_plan{0};
     std::atomic<size_t> pending_tasks{0};
     std::mutex mu;
@@ -133,29 +101,27 @@ class IngestPipeline {
   };
 
   /// Plans edges into `g` until the cap, the end of the span, or an
-  /// error. Must not run while the dispatcher holds a group lease if
-  /// observe_edges (see deadlock rule in the file comment).
+  /// error. With observe_edges it must not overlap execution (see the
+  /// overlap rule in the file comment).
   void FormGroup(Group* g, const std::vector<TemporalEdge>& edges,
                  bool observe_edges, double* observe_seconds);
 
-  /// Takes the group's store lease: non-blocking first (counting shard
-  /// contention), then mask-wait, timing the wait into
+  /// Takes the whole-store lease for a group's commit: non-blocking
+  /// first, then a blocking wait, timing the wait into
   /// ingest.lease_wait_us.
-  void AcquireCommitLease(Group* g);
+  store::ShardWriteLease AcquireCommitLease();
 
-  /// Fans the group's plans out to the shared thread pool. kStrict takes
-  /// the store lease here (executors write rows); kFast executors only
-  /// read, so the lease waits until Commit.
+  /// Fans the group's plans out to the shared thread pool. Executors only
+  /// read embeddings, so no lease is held until Commit.
   void Launch(Group* g);
 
   /// Waits until every plan in `g` has executed, stealing remaining
-  /// plans onto the dispatcher instead of idling (scratch slot
-  /// options_.writers).
+  /// plans onto the dispatcher instead of idling (scratch slot writers_).
   void WaitExecuted(Group* g);
 
-  /// Commits `g`'s plans in arrival order, runs callbacks, releases the
-  /// lease. kFast acquires the lease here and counts stale-read overlaps
-  /// between same-group gradient row sets.
+  /// Acquires the lease, commits `g`'s plans in arrival order, runs
+  /// callbacks, and releases the lease. Counts stale-read overlaps between
+  /// same-group gradient row sets.
   void Commit(Group* g,
               const std::function<void(const TrainStats&)>& on_edge);
 
@@ -166,12 +132,11 @@ class IngestPipeline {
   std::vector<obs::StatusItem> StatusItems() const;
 
   SupaModel& model_;
-  const IngestOptions options_;
-  const size_t group_cap_;
+  const size_t writers_;
 
   Group groups_[2];
   std::vector<SupaModel::ExecScratch> scratches_;  // one per writer
-  /// Commit-time row set (kFast): gradient rows committed so far in the
+  /// Commit-time row set: gradient rows committed so far in the
   /// current group, probed to count stale-read overlaps.
   RowIndex footprint_;
 
@@ -191,7 +156,7 @@ class IngestPipeline {
   std::unique_ptr<std::atomic<uint64_t>[]> writer_executed_;
   /// Per-writer hardware cost (cycles / LLC misses / thread CPU ns) from
   /// the execute-stage perf scopes, folded in once per drained group so
-  /// the scrape-side reads are plain atomics. Slot options_.writers is
+  /// the scrape-side reads are plain atomics. Slot writers_ is
   /// the dispatcher's work-stealing share, like writer_executed_.
   std::unique_ptr<std::atomic<uint64_t>[]> writer_cycles_;
   std::unique_ptr<std::atomic<uint64_t>[]> writer_llc_misses_;

@@ -355,16 +355,12 @@ Result<InsLearnReport> InsLearnTrainer::TrainSinglePass(
     return st;
   };
 
-  // With > 1 resolved writer threads the per-edge loops route through the
+  // With > 1 writer threads the per-edge loops route through the
   // multi-writer ingest pipeline (DESIGN.md §13); otherwise they stay on
-  // the historical serial TrainEdge loop.
-  const size_t writers = ResolveWriterThreads(config_.writer_threads);
+  // the serial TrainEdge loop.
   std::unique_ptr<IngestPipeline> pipeline;
-  if (writers > 1) {
-    IngestOptions ingest;
-    ingest.writers = writers;
-    ingest.mode = config_.ingest_mode;
-    pipeline = std::make_unique<IngestPipeline>(model, ingest);
+  if (config_.writer_threads > 1) {
+    pipeline = std::make_unique<IngestPipeline>(model, config_.writer_threads);
   }
   auto on_edge = [&](const TrainStats&) {
     ++report.train_steps;
@@ -492,14 +488,10 @@ Result<InsLearnReport> InsLearnTrainer::TrainFullPass(SupaModel& model,
   Heartbeat heartbeat(config_.heartbeat_seconds, range);
 
   // Same routing rule as TrainSinglePass: the pipeline takes over the
-  // per-edge loop when more than one writer thread is resolved.
-  const size_t writers = ResolveWriterThreads(config_.writer_threads);
+  // per-edge loop when more than one writer thread is configured.
   std::unique_ptr<IngestPipeline> pipeline;
-  if (writers > 1) {
-    IngestOptions ingest;
-    ingest.writers = writers;
-    ingest.mode = config_.ingest_mode;
-    pipeline = std::make_unique<IngestPipeline>(model, ingest);
+  if (config_.writer_threads > 1) {
+    pipeline = std::make_unique<IngestPipeline>(model, config_.writer_threads);
   }
   auto on_edge = [&](const TrainStats&) {
     ++report.train_steps;

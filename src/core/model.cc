@@ -205,8 +205,7 @@ void SupaModel::RunUpdater(NodeId node, Timestamp t, Timestamp last_active,
   }
 }
 
-void SupaModel::BackpropUpdater(const UpdateContext& ctx, GradBuffer& grads,
-                                const MathSink& sink) {
+void SupaModel::BackpropUpdater(const UpdateContext& ctx, GradBuffer& grads) {
   const size_t d = static_cast<size_t>(config_.dim);
   const float* g = ctx.grad_h_star.data();
   grads.Accumulate(store_->LongMemOffset(ctx.node), d, 1.0, g);
@@ -222,29 +221,12 @@ void SupaModel::BackpropUpdater(const UpdateContext& ctx, GradBuffer& grads,
         DecayGPrime(ctx.decay_input) * sig * (1.0 - sig) * ctx.delta;
     const double inner =
         Dot(g, ctx.short_before.data(), d) * dgamma_dalpha;
-    if (sink.alpha != nullptr) {
-      // Deferred α: accumulate in float exactly like the GradBuffer row
-      // the serial path uses (u's and v's contributions may share one α).
-      float* cell = nullptr;
-      for (auto& entry : *sink.alpha) {
-        if (entry.first == ctx.alpha_offset) {
-          cell = &entry.second;
-          break;
-        }
-      }
-      if (cell == nullptr) {
-        sink.alpha->emplace_back(ctx.alpha_offset, 0.0f);
-        cell = &sink.alpha->back().second;
-      }
-      *cell += static_cast<float>(inner);
-    } else {
-      grads.AccumulateScalar(ctx.alpha_offset, inner);
-    }
+    grads.AccumulateScalar(ctx.alpha_offset, inner);
   }
 }
 
 Status SupaModel::PlanEdge(const TemporalEdge& e, const TrainOptions& options,
-                           bool want_footprint, EdgePlan* plan) {
+                           EdgePlan* plan) {
   if (e.src >= graph_->num_nodes() || e.dst >= graph_->num_nodes()) {
     return Status::OutOfRange("train edge endpoint out of range");
   }
@@ -259,8 +241,6 @@ Status SupaModel::PlanEdge(const TemporalEdge& e, const TrainOptions& options,
   plan->last_active_v = graph_->LastActive(e.dst);
   plan->u_walk_count = 0;
   plan->negatives.clear();
-  plan->rows.clear();
-  plan->shard_mask = 0;
 
   // RNG draw order matches the serial trainer exactly: walks first, then
   // the (possibly rebuilt) negative table's draws.
@@ -281,48 +261,6 @@ Status SupaModel::PlanEdge(const TemporalEdge& e, const TrainOptions& options,
     }
   }
 
-  if (want_footprint) {
-    const EdgeTypeId r_ctx = CtxRel(e.type);
-    auto touch = [&](NodeId node, size_t offset) {
-      plan->rows.push_back(offset);
-      plan->shard_mask |= graph_store_->ShardMaskOf(node);
-    };
-    touch(e.src, store_->LongMemOffset(e.src));
-    touch(e.dst, store_->LongMemOffset(e.dst));
-    if (config_.use_short_term) {
-      touch(e.src, store_->ShortMemOffset(e.src));
-      touch(e.dst, store_->ShortMemOffset(e.dst));
-    }
-    if (config_.use_inter_loss && options.use_inter_loss) {
-      touch(e.src, store_->ContextOffset(e.src, r_ctx));
-      touch(e.dst, store_->ContextOffset(e.dst, r_ctx));
-    }
-    if (config_.use_prop_loss) {
-      // Every walk row, including those the filter D(.) would terminate
-      // before — the footprint must be a superset of the writes, and
-      // termination depends on edge time, cheap to over-approximate.
-      for (size_t w = 0; w < plan->walks.num_walks(); ++w) {
-        const WalkBuffer::Span& span = plan->walks.walk(w);
-        const WalkStep* steps = plan->walks.steps_of(span);
-        for (size_t si = 0; si < span.size(); ++si) {
-          touch(steps[si].node,
-                store_->ContextOffset(steps[si].node,
-                                      CtxRel(steps[si].via_type)));
-        }
-      }
-    }
-    if (config_.use_neg_loss) {
-      for (NodeId neg : plan->negatives) {
-        if (neg == kInvalidNode) continue;
-        touch(neg, store_->ContextOffset(neg, r_ctx));
-      }
-    }
-    if (config_.use_short_term && config_.use_update_decay) {
-      // The α tail rides with shard 0's write ordering; the α row itself
-      // is excluded from `rows` (dispatcher-committed, never raced).
-      plan->shard_mask |= uint64_t{1};
-    }
-  }
   return Status::OK();
 }
 
@@ -423,8 +361,8 @@ TrainStats SupaModel::RunEdgeMath(const EdgePlan& plan, ExecScratch* scratch,
   {
     SUPA_TRACE_SPAN_CAT("optimize", "model");
     SUPA_PERF_SCOPE(kOptimize);
-    BackpropUpdater(ctx_u, grads, sink);
-    BackpropUpdater(ctx_v, grads, sink);
+    BackpropUpdater(ctx_u, grads);
+    BackpropUpdater(ctx_v, grads);
   }
   return stats;
 }
@@ -433,8 +371,7 @@ Result<TrainStats> SupaModel::TrainEdge(const TemporalEdge& e,
                                         const TrainOptions& options) {
   SUPA_TRACE_SPAN_CAT("train_edge", "model");
   SUPA_PERF_SCOPE(kTrainEdge);
-  SUPA_RETURN_NOT_OK(
-      PlanEdge(e, options, /*want_footprint=*/false, &serial_plan_));
+  SUPA_RETURN_NOT_OK(PlanEdge(e, options, &serial_plan_));
 
   // A full training step scatters embedding writes across arbitrary rows
   // (walk and negative contexts land anywhere), so it holds the
@@ -454,8 +391,8 @@ Result<TrainStats> SupaModel::TrainEdge(const TemporalEdge& e,
                      : uint64_t{0}))
           : graph_store_->LeaseAll();
 
-  // Serial sink: dirty rows and α gradients flow straight into the
-  // optimizer, exactly as before the plan/execute split.
+  // Serial sink: dirty rows and gradients flow straight into the
+  // optimizer.
   const MathSink sink;
   const TrainStats stats = RunEdgeMath(serial_plan_, &serial_scratch_, sink);
   auto& monitor = obs::ModelMonitor::Global();
@@ -478,46 +415,6 @@ Result<TrainStats> SupaModel::TrainEdge(const TemporalEdge& e,
   return stats;
 }
 
-void SupaModel::ExecutePlan(EdgePlan* plan, ExecScratch* scratch) {
-  plan->dirty.clear();
-  plan->alpha_grads.clear();
-  MathSink sink;
-  sink.dirty = &plan->dirty;
-  sink.alpha = &plan->alpha_grads;
-  plan->stats = RunEdgeMath(*plan, scratch, sink);
-  // Row updates land now, at the plan's pinned step; α and the dirty merge
-  // wait for CommitPlan. Per-row Adam math depends only on the step number
-  // and the row's own state, so disjoint-row plans commute bit-exactly.
-  plan->mon_sampled = obs::ModelMonitor::Global().enabled();
-  SparseAdam::StepStats step_stats;
-  adam_->StepAt(plan->step, scratch->grads, store_->data(), &plan->dirty,
-                plan->mon_sampled ? &step_stats : nullptr);
-  if (plan->mon_sampled) {
-    // Banked for CommitPlan: the monitor's mutex stays off the worker.
-    plan->mon_grad_norm = GradBufferL2(scratch->grads);
-    plan->mon_step_norm = std::sqrt(step_stats.sum_update_sq);
-    plan->mon_row_norm_before = std::sqrt(step_stats.sum_param_sq_before);
-    plan->mon_row_norm_after = std::sqrt(step_stats.sum_param_sq_after);
-  }
-}
-
-void SupaModel::CommitPlan(const EdgePlan& plan) {
-  for (const auto& [offset, len] : plan.dirty) {
-    adam_->MarkDirty(offset, len);
-  }
-  for (const auto& [offset, grad] : plan.alpha_grads) {
-    adam_->StepScalarAt(plan.step, offset, grad, store_->data());
-  }
-  adam_->set_step_count(plan.step);
-  auto& monitor = obs::ModelMonitor::Global();
-  if (plan.mon_sampled && monitor.enabled()) {
-    monitor.RecordTrainStep(plan.stats.loss_inter, plan.stats.loss_prop,
-                            plan.stats.loss_neg, plan.mon_grad_norm,
-                            plan.mon_step_norm, plan.mon_row_norm_before,
-                            plan.mon_row_norm_after);
-  }
-}
-
 Status SupaModel::PlanEdgeDeferred(const TemporalEdge& e,
                                    const TrainOptions& options,
                                    EdgePlan* plan) {
@@ -533,8 +430,6 @@ Status SupaModel::PlanEdgeDeferred(const TemporalEdge& e,
   plan->last_active_v = graph_->LastActive(e.dst);
   plan->u_walk_count = 0;
   plan->negatives.clear();
-  plan->rows.clear();
-  plan->shard_mask = 0;
   // Executors sample the table concurrently and must never mutate it, so
   // a pending rebuild happens here, on the dispatcher, before launch.
   if (config_.use_neg_loss && !neg_table_.built()) {
@@ -545,7 +440,6 @@ Status SupaModel::PlanEdgeDeferred(const TemporalEdge& e,
 
 void SupaModel::ExecutePlanDeferred(EdgePlan* plan, ExecScratch* scratch) {
   plan->dirty.clear();
-  plan->alpha_grads.clear();
   plan->grads.Clear();
   plan->gamma_u = 1.0;
   plan->gamma_v = 1.0;
@@ -573,8 +467,8 @@ void SupaModel::ExecutePlanDeferred(EdgePlan* plan, ExecScratch* scratch) {
   sink.grads = &plan->grads;
   sink.gamma_u = &plan->gamma_u;
   sink.gamma_v = &plan->gamma_v;
-  // α rides in `grads` as a scalar row (sink.alpha stays null) — the
-  // commit-time Step applies it exactly like the serial trainer.
+  // α rides in `grads` as a scalar row — the commit-time Step applies it
+  // exactly like the serial trainer.
   plan->stats = RunEdgeMath(*plan, scratch, sink);
 }
 

@@ -41,17 +41,15 @@ struct TrainOptions {
   bool use_inter_loss = true;
 };
 
-/// A banked training step (DESIGN.md §13). Two pipelines share it:
+/// A banked training step (DESIGN.md §13), shared by two paths:
 ///
-///   * kStrict: PlanEdge banks everything TrainEdge consumes from the RNG
-///     stream and the graph in arrival order; ExecutePlan (any thread)
-///     applies row updates via SparseAdam::StepAt under the group lease;
-///     CommitPlan folds the banked side effects in arrival order.
-///     Bit-identical to the serial trainer.
-///   * kFast: PlanEdgeDeferred only validates and banks graph reads; the
-///     sampling moves into ExecutePlanDeferred with a per-step
-///     counter-based RNG so workers sample and compute gradients in
-///     parallel against the frozen group-start state (reads only); the
+///   * Serial TrainEdge: PlanEdge banks the walks and negatives from the
+///     model's RNG stream, then the math runs and the optimizer steps in
+///     place.
+///   * Multi-writer ingest: PlanEdgeDeferred only validates and banks
+///     graph reads; the sampling moves into ExecutePlanDeferred with a
+///     per-step counter-based RNG so workers sample and compute gradients
+///     in parallel against the frozen group-start state (reads only); the
 ///     gradients land in `grads` and CommitPlanDeferred applies the
 ///     ordinary serial optimizer step in arrival order.
 struct EdgePlan {
@@ -72,45 +70,18 @@ struct EdgePlan {
   /// like the serial path).
   std::vector<NodeId> negatives;
 
-  // -- Scheduling footprint (PlanEdge with want_footprint only) --
-  /// Every embedding row the step writes (each dim floats; the α tail is
-  /// excluded — α commits are serialized by the dispatcher). Walk rows
-  /// are included even when propagation terminates early, so the
-  /// footprint is a conservative superset of the rows actually touched.
-  std::vector<size_t> rows;
-  /// Shards covered by `rows`, widened with shard 0 whenever the step may
-  /// carry α gradients (the α tail rides with shard 0's write ordering).
-  uint64_t shard_mask = 0;
-
-  // -- Execution outputs (ExecutePlan / ExecutePlanDeferred) --
+  // -- Execution outputs (ExecutePlanDeferred) --
   TrainStats stats;
   /// Rows to mark dirty at commit.
   SparseAdam::BankedDirty dirty;
-  /// Deferred α gradients (offset, float-accumulated like GradBuffer's
-  /// scalar rows), applied by CommitPlan at this plan's step number.
-  /// (kStrict only — the deferred pipeline routes α through `grads`.)
-  std::vector<std::pair<size_t, float>> alpha_grads;
-
-  // -- Deferred-apply outputs (kFast; ExecutePlanDeferred) --
-  /// The step's full gradient accumulation, applied by
-  /// CommitPlanDeferred via the ordinary serial optimizer step.
+  /// The step's full gradient accumulation (α included, as scalar rows),
+  /// applied by CommitPlanDeferred via the ordinary serial optimizer step.
   GradBuffer grads;
   /// Banked forgetting factors γ = g(σ(α)·Δ) for src/dst: the h^S decay
   /// is scaled into the live rows at commit (in arrival order) rather
   /// than during execution, so shared endpoints lose no updates.
   double gamma_u = 1.0;
   double gamma_v = 1.0;
-
-  // -- Model-monitor sample (kStrict; banked by ExecutePlan) --
-  /// True when the executor collected monitor signals; CommitPlan then
-  /// records them on the dispatcher, in arrival order, so the monitor's
-  /// mutex never sits on a worker's critical path. Norms are L2 over the
-  /// step's gradient rows; the dispatcher-committed α tail is excluded.
-  bool mon_sampled = false;
-  double mon_grad_norm = 0.0;
-  double mon_step_norm = 0.0;
-  double mon_row_norm_before = 0.0;
-  double mon_row_norm_after = 0.0;
 };
 
 /// A trainable SUPA instance bound to one dataset's node universe, schema,
@@ -267,8 +238,8 @@ class SupaModel {
   };
 
  public:
-  /// Per-executor reusable scratch for ExecutePlan. One per writer thread;
-  /// never shared across concurrent executions.
+  /// Per-executor reusable scratch for the step math. One per writer
+  /// thread; never shared across concurrent executions.
   struct ExecScratch {
     GradBuffer grads;
     UpdateContext ctx_u;
@@ -279,32 +250,7 @@ class SupaModel {
 
   // -- Plan/execute/commit split (multi-writer ingest; DESIGN.md §13) --
 
-  /// Stage 1 of a training step: validates the edge and banks everything
-  /// the step consumes from the RNG stream and the graph, in exactly the
-  /// serial trainer's draw order (walks first, then negatives). Must run
-  /// on the dispatcher thread in arrival order; never writes embeddings.
-  /// With `want_footprint`, additionally records the step's embedding-row
-  /// write set and conservative shard mask for the group scheduler.
-  Status PlanEdge(const TemporalEdge& e, const TrainOptions& options,
-                  bool want_footprint, EdgePlan* plan);
-
-  /// Stage 2: the banked step's embedding math. Touches only embedding
-  /// rows — never the graph, the RNG, or the optimizer's counters — so
-  /// plans with disjoint row footprints may execute concurrently, each
-  /// with its own scratch. Row updates apply via SparseAdam::StepAt at
-  /// plan->step; dirty rows and α gradients are banked into the plan for
-  /// CommitPlan. The caller must hold a write lease covering
-  /// plan->shard_mask.
-  void ExecutePlan(EdgePlan* plan, ExecScratch* scratch);
-
-  /// Stage 3, dispatcher-side, in arrival order: merges the banked dirty
-  /// rows, applies the deferred α gradients at the plan's pinned step
-  /// number, and advances the optimizer's step counter.
-  void CommitPlan(const EdgePlan& plan);
-
-  // -- Deferred-apply pipeline (kFast; DESIGN.md §13) --
-
-  /// kFast stage 1: validates the edge and banks only what must be read
+  /// Stage 1: validates the edge and banks only what must be read
   /// before observation (last-active timestamps) plus the negative table
   /// rebuild. Consumes nothing from the model's RNG stream — sampling is
   /// deferred to ExecutePlanDeferred under a per-step counter-based seed,
@@ -313,7 +259,7 @@ class SupaModel {
   Status PlanEdgeDeferred(const TemporalEdge& e, const TrainOptions& options,
                           EdgePlan* plan);
 
-  /// kFast stage 2, any thread, no lease required: samples the influenced
+  /// Stage 2, any thread, no lease required: samples the influenced
   /// graph and negatives from Rng(seed ⊕ plan->step) against the frozen
   /// group-start graph, then computes the step's full gradient into
   /// plan->grads. Reads embeddings, never writes them — the forgetting
@@ -321,7 +267,7 @@ class SupaModel {
   /// plan until commit.
   void ExecutePlanDeferred(EdgePlan* plan, ExecScratch* scratch);
 
-  /// kFast stage 3, dispatcher-side, arrival order, under a store lease:
+  /// Stage 3, dispatcher-side, arrival order, under a store lease:
   /// scales the banked forgetting into the live h^S rows, merges dirty
   /// rows, and applies plan->grads via the ordinary serial optimizer step
   /// (which advances the step counter to exactly plan->step).
@@ -332,20 +278,25 @@ class SupaModel {
   uint64_t optimizer_step_count() const { return adam_->step_count(); }
 
  private:
+  /// Stage 1 of a serial training step: validates the edge and banks the
+  /// walks and negatives it consumes from the model's RNG stream (walks
+  /// first, then negatives), plus the pre-observation graph reads. Never
+  /// writes embeddings.
+  Status PlanEdge(const TemporalEdge& e, const TrainOptions& options,
+                  EdgePlan* plan);
+
   /// Where the training-step math routes its side effects: straight into
   /// the optimizer (serial TrainEdge) or banked into the plan (pipeline).
   struct MathSink {
     /// Dirty sink for pre-optimizer row writes (updater forgetting);
     /// null → adam_->MarkDirty directly.
     SparseAdam::BankedDirty* dirty = nullptr;
-    /// α gradient sink; null → GradBuffer::AccumulateScalar (serial).
-    std::vector<std::pair<size_t, float>>* alpha = nullptr;
-    /// Gradient accumulator override; null → scratch->grads (serial and
-    /// kStrict). The deferred pipeline points this at plan->grads.
+    /// Gradient accumulator override; null → scratch->grads (serial). The
+    /// pipeline points this at plan->grads.
     GradBuffer* grads = nullptr;
     /// Deferred forgetting sinks: when set, RunUpdater banks γ here and
     /// decays a scratch copy of h^S instead of the live row (the scale is
-    /// applied at commit). Null → in-place decay (serial and kStrict).
+    /// applied at commit). Null → in-place decay (serial).
     double* gamma_u = nullptr;
     double* gamma_v = nullptr;
   };
@@ -359,13 +310,13 @@ class SupaModel {
                   double* deferred_gamma);
 
   /// Routes dL/dh* into h^L, h^S, and α gradients.
-  void BackpropUpdater(const UpdateContext& ctx, GradBuffer& grads,
-                       const MathSink& sink);
+  void BackpropUpdater(const UpdateContext& ctx, GradBuffer& grads);
 
   /// The full per-edge loss/gradient computation over a banked plan.
-  /// Clears scratch->grads, fills it (and the sink's banked outputs), and
-  /// returns the step's stats. Shared verbatim by the serial TrainEdge
-  /// and ExecutePlan — the two differ only in how gradients are applied.
+  /// Clears the sink's gradient buffer (scratch->grads by default), fills
+  /// it and the sink's banked outputs, and returns the step's stats.
+  /// Shared verbatim by the serial TrainEdge and ExecutePlanDeferred —
+  /// the two differ only in how gradients are applied.
   TrainStats RunEdgeMath(const EdgePlan& plan, ExecScratch* scratch,
                          const MathSink& sink);
 

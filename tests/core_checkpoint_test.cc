@@ -1,10 +1,11 @@
-#include "core/checkpoint.h"
+#include "dur/checkpoint.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 
+#include "core/model.h"
 #include "data/synthetic.h"
 
 namespace supa {

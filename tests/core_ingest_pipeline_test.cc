@@ -1,29 +1,22 @@
-// Multi-writer ingest pipeline invariants (DESIGN.md §13):
-//   * kStrict is bit-identical to the serial trainer — logical parameters,
-//     eval metrics, validation scores, and checkpoint BYTES — at 1, 4, and
-//     8 writer threads.
-//   * kFast is deterministic and writer-count-independent (grouping and
-//     the per-step RNG depend only on the edge sequence), and tracks the
-//     serial trainer's step count and ranking quality.
-//   * The planner's shard-set estimate is a conservative superset: every
-//     row a step actually writes lies on a shard in the scheduled mask,
-//     at 1, 3, and 8 shards.
+// Multi-writer ingest pipeline invariants (DESIGN.md §13): the pipeline
+// is deterministic and writer-count-independent (grouping and the
+// per-step RNG depend only on the edge sequence) — logical parameters,
+// eval metrics, validation scores, and checkpoint BYTES — and tracks the
+// serial trainer's (writer_threads = 1) step count and ranking quality.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "baselines/recommender.h"
-#include "core/checkpoint.h"
-#include "core/ingest.h"
 #include "core/inslearn.h"
 #include "core/model.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
+#include "dur/checkpoint.h"
 #include "eval/protocols.h"
 
 namespace supa {
@@ -39,13 +32,12 @@ SupaConfig ModelConfig(size_t shards) {
   return c;
 }
 
-InsLearnConfig TrainConfig(size_t writers, IngestMode mode) {
+InsLearnConfig TrainConfig(size_t writers) {
   InsLearnConfig tc;
   tc.max_iters = 4;
   tc.valid_interval = 2;
   tc.threads = 1;
   tc.writer_threads = writers;
-  tc.ingest_mode = mode;
   return tc;
 }
 
@@ -66,11 +58,11 @@ struct PipelineResult {
 };
 
 PipelineResult RunPipeline(const Dataset& data, size_t shards, size_t writers,
-                           IngestMode mode, const std::string& ckpt_path,
+                           const std::string& ckpt_path,
                            SupaConfig model_config) {
   model_config.shards = shards;
   auto split = SplitTemporal(data).value();
-  SupaRecommender rec(model_config, TrainConfig(writers, mode));
+  SupaRecommender rec(model_config, TrainConfig(writers));
   EXPECT_TRUE(rec.Fit(data, split.train).ok());
 
   EvalConfig eval;
@@ -111,12 +103,6 @@ void ExpectIdentical(const PipelineResult& run, const PipelineResult& base,
 class IngestPipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Writer resolution reads SUPA_WRITER_THREADS when the config leaves
-    // it 0; isolate from whatever the ctest environment sets.
-    if (const char* env = std::getenv("SUPA_WRITER_THREADS")) {
-      saved_env_ = env;
-    }
-    unsetenv("SUPA_WRITER_THREADS");
     const auto* info =
         ::testing::UnitTest::GetInstance()->current_test_info();
     path_ = ::testing::TempDir() + "/supa_ingest_" + info->name() + ".bin";
@@ -125,48 +111,32 @@ class IngestPipelineTest : public ::testing::Test {
   void TearDown() override {
     std::remove(path_.c_str());
     std::remove((path_ + ".b").c_str());
-    if (!saved_env_.empty()) {
-      setenv("SUPA_WRITER_THREADS", saved_env_.c_str(), 1);
-    }
   }
 
   std::string path_;
-  std::string saved_env_;
   Dataset data_;
 };
 
-TEST_F(IngestPipelineTest, StrictBitIdenticalToSerialAt4And8Writers) {
-  const PipelineResult serial = RunPipeline(
-      data_, 8, 1, IngestMode::kStrict, path_, ModelConfig(8));
-  ASSERT_GT(serial.train_steps, 0u);
-  for (size_t writers : {4u, 8u}) {
-    const PipelineResult run = RunPipeline(
-        data_, 8, writers, IngestMode::kStrict, path_ + ".b", ModelConfig(8));
-    ExpectIdentical(run, serial,
-                    "strict, " + std::to_string(writers) + " writers");
-  }
-}
-
 TEST_F(IngestPipelineTest, FastDeterministicAcrossWriterCounts) {
-  // Fast-mode grouping depends only on the edge sequence and the sampled
-  // footprints, so 2 and 8 writers must produce the same bytes.
-  const PipelineResult two = RunPipeline(
-      data_, 8, 2, IngestMode::kFast, path_, ModelConfig(8));
-  const PipelineResult eight = RunPipeline(
-      data_, 8, 8, IngestMode::kFast, path_ + ".b", ModelConfig(8));
+  // Grouping and the per-step RNG depend only on the edge sequence, so 2
+  // and 8 writers must produce the same bytes.
+  const PipelineResult two = RunPipeline(data_, 8, 2, path_, ModelConfig(8));
+  const PipelineResult eight =
+      RunPipeline(data_, 8, 8, path_ + ".b", ModelConfig(8));
   ExpectIdentical(eight, two, "fast, 8 vs 2 writers");
 }
 
 TEST_F(IngestPipelineTest, FastTracksSerialQuality) {
-  // Fast mode deliberately diverges from the serial trainer (per-step RNG
-  // streams, within-group stale reads) but it is the SAME algorithm on
-  // the same step sequence: step counts must match exactly and ranking
-  // quality must land in the serial run's neighborhood. Both runs are
-  // fully deterministic, so these are fixed values, not flaky bands.
-  const PipelineResult serial = RunPipeline(
-      data_, 8, 1, IngestMode::kStrict, path_, ModelConfig(8));
-  const PipelineResult fast = RunPipeline(
-      data_, 8, 4, IngestMode::kFast, path_ + ".b", ModelConfig(8));
+  // The pipeline deliberately diverges from the serial trainer
+  // (writer_threads = 1; per-step RNG streams, within-group stale reads)
+  // but it is the SAME algorithm on the same step sequence: step counts
+  // must match exactly and ranking quality must land in the serial run's
+  // neighborhood. Both runs are fully deterministic, so these are fixed
+  // values, not flaky bands.
+  const PipelineResult serial =
+      RunPipeline(data_, 8, 1, path_, ModelConfig(8));
+  const PipelineResult fast =
+      RunPipeline(data_, 8, 4, path_ + ".b", ModelConfig(8));
   EXPECT_EQ(fast.train_steps, serial.train_steps);
   EXPECT_EQ(fast.batch_scores.size(), serial.batch_scores.size());
   EXPECT_GT(fast.metrics.mrr, 0.0);
@@ -174,68 +144,6 @@ TEST_F(IngestPipelineTest, FastTracksSerialQuality) {
   EXPECT_NEAR(fast.metrics.mrr, serial.metrics.mrr, 0.1);
   EXPECT_NEAR(fast.metrics.hit50, serial.metrics.hit50, 0.15);
   ASSERT_FALSE(fast.checkpoint_bytes.empty());
-}
-
-TEST_F(IngestPipelineTest, EnvVariableDrivesWriterResolution) {
-  EXPECT_EQ(ResolveWriterThreads(3), 3u);
-  EXPECT_EQ(ResolveWriterThreads(0), 1u);
-  setenv("SUPA_WRITER_THREADS", "5", 1);
-  EXPECT_EQ(ResolveWriterThreads(0), 5u);
-  EXPECT_EQ(ResolveWriterThreads(2), 2u);  // explicit wins over env
-  unsetenv("SUPA_WRITER_THREADS");
-}
-
-TEST_F(IngestPipelineTest, PlannedShardMaskCoversEveryWrittenRow) {
-  // The scheduler trusts PlanEdge's footprint: a write outside the
-  // scheduled mask would race with a disjoint group. Execute planned
-  // steps at several shard counts and check every row the optimizer
-  // actually dirtied lies on a shard whose bit was in the mask (α rows on
-  // shard 0 by the tail-rides-with-shard-0 convention).
-  for (size_t shards : {1u, 3u, 8u}) {
-    SupaModel model(data_, ModelConfig(shards));
-    // Build some graph structure first so walks reach other nodes.
-    for (size_t i = 0; i < 300; ++i) {
-      ASSERT_TRUE(model.TrainEdge(data_.edges[i]).ok());
-      ASSERT_TRUE(model.ObserveEdge(data_.edges[i]).ok());
-    }
-    const store::EmbeddingLayout& layout =
-        model.graph_store().embeddings().layout();
-    EdgePlan plan;
-    SupaModel::ExecScratch scratch;
-    for (size_t i = 300; i < 360; ++i) {
-      ASSERT_TRUE(model
-                      .PlanEdge(data_.edges[i], TrainOptions{},
-                                /*want_footprint=*/true, &plan)
-                      .ok());
-      plan.step = model.optimizer_step_count() + 1;
-      model.ExecutePlan(&plan, &scratch);
-      for (const auto& [offset, len] : plan.dirty) {
-        if (offset >= layout.alpha_begin()) {
-          EXPECT_TRUE(plan.shard_mask & 1)
-              << "alpha row " << offset << " outside mask at " << shards
-              << " shards";
-          continue;
-        }
-        bool covered = false;
-        for (size_t s = 0; s < shards; ++s) {
-          if (offset >= layout.shard_begin(s) &&
-              offset + len <= layout.shard_end(s)) {
-            covered = (plan.shard_mask >> s) & 1;
-            break;
-          }
-        }
-        EXPECT_TRUE(covered) << "row " << offset << " (+" << len
-                             << ") outside scheduled mask at " << shards
-                             << " shards, edge " << i;
-      }
-      for (const auto& [offset, grad] : plan.alpha_grads) {
-        EXPECT_GE(offset, layout.alpha_begin());
-        EXPECT_TRUE(plan.shard_mask & 1) << "alpha grad outside shard-0 bit";
-      }
-      model.CommitPlan(plan);
-      ASSERT_TRUE(model.ObserveEdge(data_.edges[i]).ok());
-    }
-  }
 }
 
 }  // namespace

@@ -64,7 +64,8 @@ TEST_F(LeaseStressTest, RandomMasksNoDeadlockNoTornRows) {
     writers.emplace_back([&, w] {
       Rng rng(100 + w);
       for (size_t round = 0; round < kRoundsPerThread; ++round) {
-        // 1–3 random shards, sometimes everything (the strict-mode shape).
+        // 1–3 random shards, sometimes everything (the whole-store lease
+        // a training step takes).
         uint64_t mask = 0;
         if (rng.Bernoulli(0.05)) {
           mask = store_->all_shards_mask();

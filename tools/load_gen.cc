@@ -44,9 +44,10 @@
 #include <thread>
 #include <vector>
 
-#include "core/checkpoint.h"
+#include "core/model.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
+#include "dur/checkpoint.h"
 #include "serve/engine.h"
 #include "serve/latency_recorder.h"
 #include "util/rng.h"

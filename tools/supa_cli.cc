@@ -16,18 +16,21 @@
 // `--threads` sets the evaluation/validation worker count (0 = all cores,
 // the default); results are bit-identical at every setting.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
 
 #include "baselines/recommender.h"
-#include "core/checkpoint.h"
+#include "core/model.h"
 #include "data/synthetic.h"
+#include "dur/checkpoint.h"
 #include "dur/engine.h"
 #include "dur/recovery.h"
 #include "eval/export.h"
@@ -47,6 +50,25 @@
 namespace supa {
 namespace {
 
+/// Every flag a command reads, by the value it takes. ParseArgs rejects
+/// any other flag and any numeric value that does not parse, so a typo or
+/// a retired flag fails loudly instead of silently running on defaults.
+/// Usage() lists them all.
+constexpr const char* kStringFlags[] = {
+    "checkpoint", "dataset",  "metrics-out", "model-out", "out",
+    "perf-out",   "relation", "trace-out",   "wal-dir",   "wal-sync"};
+constexpr const char* kUintFlags[] = {
+    "admin-port",  "ckpt-interval", "compact-threshold", "dim",
+    "iters",       "k",             "model-seed",        "seed",
+    "serve",       "serve-batch",   "serve-queue",       "serve-workers",
+    "shards",      "test-edges",    "threads",           "user",
+    "walks",       "writer-threads"};
+constexpr const char* kDoubleFlags[] = {"duration-s", "heartbeat", "scale",
+                                        "serve-linger"};
+
+/// Parsed command line. ParseArgs validated every value against the flag
+/// tables above, so the typed getters' fallbacks apply only to absent
+/// flags.
 struct Args {
   std::string command;
   std::map<std::string, std::string> flags;
@@ -73,12 +95,33 @@ Result<Args> ParseArgs(int argc, char** argv) {
   if (argc < 2) return Status::InvalidArgument("missing command");
   Args args;
   args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
+  for (int i = 2; i < argc; i += 2) {
     if (std::strncmp(argv[i], "--", 2) != 0) {
       return Status::InvalidArgument(std::string("expected flag, got ") +
                                      argv[i]);
     }
-    args.flags[argv[i] + 2] = argv[i + 1];
+    const std::string name = argv[i] + 2;
+    auto listed = [&name](const auto& names) {
+      return std::find(std::begin(names), std::end(names), name) !=
+             std::end(names);
+    };
+    const bool is_uint = listed(kUintFlags);
+    const bool is_double = listed(kDoubleFlags);
+    if (!is_uint && !is_double && !listed(kStringFlags)) {
+      return Status::InvalidArgument("unknown flag --" + name);
+    }
+    if (i + 1 >= argc) {
+      return Status::InvalidArgument("flag --" + name + " needs a value");
+    }
+    const std::string value = argv[i + 1];
+    if ((is_uint && !ParseUint(value).ok()) ||
+        (is_double && !ParseDouble(value).ok())) {
+      return Status::InvalidArgument(
+          "flag --" + name + " wants " +
+          (is_uint ? "an unsigned integer" : "a number") + ", got '" +
+          value + "'");
+    }
+    args.flags[name] = value;
   }
   return args;
 }
@@ -143,23 +186,15 @@ std::unique_ptr<serve::ServeEngine> StartServing(const Args& args,
 
 /// Shared by train and recover so a recovered run trains under exactly
 /// the configuration the crashed run used.
-Result<InsLearnConfig> TrainerConfig(const Args& args) {
+InsLearnConfig TrainerConfig(const Args& args) {
   InsLearnConfig tc;
   tc.max_iters = static_cast<int>(args.GetUint("iters", 16));
   tc.valid_interval = 4;
   tc.threads = static_cast<size_t>(args.GetUint("threads", 0));
   tc.heartbeat_seconds = args.GetDouble("heartbeat", 0.0);
-  // 0 defers to SUPA_WRITER_THREADS, then 1 (the serial loop). `strict`
-  // commits are bit-identical to serial at any writer count; `fast`
-  // relaxes only within-group α staleness (DESIGN.md §13).
+  // 0 and 1 keep the serial loop, the bit-exact reference; more writers
+  // run the deterministic multi-writer pipeline (DESIGN.md §13).
   tc.writer_threads = static_cast<size_t>(args.GetUint("writer-threads", 0));
-  const std::string ingest_mode = args.Get("ingest", "strict");
-  if (ingest_mode == "fast") {
-    tc.ingest_mode = IngestMode::kFast;
-  } else if (ingest_mode != "strict") {
-    return Status::InvalidArgument("unknown --ingest mode '" + ingest_mode +
-                                   "' (strict|fast)");
-  }
   tc.ckpt_interval = static_cast<size_t>(args.GetUint("ckpt-interval", 1));
   return tc;
 }
@@ -200,19 +235,15 @@ int CmdTrain(const Args& args, obs::AdminServer* admin) {
     engine = StartServing(args, &model, data.value(), admin, serve_workers);
   }
 
-  auto tc = TrainerConfig(args);
-  if (!tc.ok()) {
-    std::fprintf(stderr, "%s\n", tc.status().ToString().c_str());
-    return 1;
-  }
+  InsLearnConfig tc = TrainerConfig(args);
   auto durability = MaybeAttachDurability(args, model);
   if (!durability.ok()) {
     std::fprintf(stderr, "%s\n", durability.status().ToString().c_str());
     return 1;
   }
-  tc.value().checkpoint_sink = durability.value().get();
+  tc.checkpoint_sink = durability.value().get();
 
-  InsLearnTrainer trainer(tc.value());
+  InsLearnTrainer trainer(tc);
   auto report = trainer.Train(model, data.value(), split.train);
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
@@ -284,19 +315,15 @@ int CmdRecover(const Args& args) {
                recovered.value().used_fallback_link ? " (fallback link)" : "",
                recovered.value().seconds);
 
-  auto tc = TrainerConfig(args);
-  if (!tc.ok()) {
-    std::fprintf(stderr, "%s\n", tc.status().ToString().c_str());
-    return 1;
-  }
+  InsLearnConfig tc = TrainerConfig(args);
   auto durability = MaybeAttachDurability(args, model);
   if (!durability.ok()) {
     std::fprintf(stderr, "%s\n", durability.status().ToString().c_str());
     return 1;
   }
-  tc.value().checkpoint_sink = durability.value().get();
+  tc.checkpoint_sink = durability.value().get();
 
-  InsLearnTrainer trainer(tc.value());
+  InsLearnTrainer trainer(tc);
   auto report = trainer.Train(model, data.value(), split.train,
                               &recovered.value().cursor);
   if (!report.ok()) {
@@ -535,6 +562,18 @@ int Usage() {
                "usage: supa_cli "
                "<generate|train|recover|serve|eval|recommend|mine|export> "
                "[--flag value]...\n"
+               "data and model (any command):\n"
+               "  --dataset <name> --scale <x> --seed <n>  bundled stream "
+               "emulator (default taobao, 1, 7)\n"
+               "  --checkpoint <path>   model file (default supa_model.bin)\n"
+               "  --dim <n> --model-seed <n>  embedding size and init seed "
+               "(default 64, 42)\n"
+               "  --iters <n>           train: InsLearn N_iter (default 16)\n"
+               "  --threads <n>         eval/validation workers (0 = all "
+               "cores; results are bit-identical at every value)\n"
+               "  --test-edges <n> (eval), --user <id> --relation <name> "
+               "(recommend), --out <path> (generate/export), --walks <n> "
+               "(mine), --serve-workers <n> (serve)\n"
                "durability (train/recover):\n"
                "  --wal-dir <dir>       write-ahead-log every graph "
                "mutation and take incremental checkpoints into <dir>; a "
@@ -562,10 +601,8 @@ int Usage() {
                "bytes are bit-identical at every value)\n"
                "ingest (train):\n"
                "  --writer-threads <n>  concurrent embedding-math writers "
-               "(0 = SUPA_WRITER_THREADS env, then 1 = serial loop)\n"
-               "  --ingest <mode>       strict (default; bit-identical to "
-               "serial at any writer count) or fast (deterministic, relaxes "
-               "within-group alpha staleness)\n"
+               "(0 or 1 = the bit-exact serial loop; n > 1 is deterministic "
+               "at any n but not bit-identical to serial)\n"
                "observability (any command):\n"
                "  --metrics-out <path>  write a metrics-registry JSON "
                "snapshot on exit (and print the table)\n"
@@ -601,7 +638,10 @@ int Dispatch(const std::string& cmd, const Args& args,
 
 int Main(int argc, char** argv) {
   auto args = ParseArgs(argc, argv);
-  if (!args.ok()) return Usage();
+  if (!args.ok()) {
+    std::fprintf(stderr, "supa_cli: %s\n", args.status().ToString().c_str());
+    return Usage();
+  }
 
   const std::string metrics_out = args.value().Get("metrics-out", "");
   const std::string trace_out = args.value().Get("trace-out", "");
