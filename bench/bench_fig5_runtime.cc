@@ -176,6 +176,9 @@ int main(int argc, char** argv) {
       std::vector<double> llc_miss_rate;
       std::vector<double> ipc;
       std::vector<double> cycles_per_edge;
+      // Task-clock ns per trained edge: measured on every tier, so it
+      // carries the per-phase signal where the PMU arrays read zero.
+      std::vector<double> ns_per_edge;
       uint64_t cycles = 0, instructions = 0;
       uint64_t llc_loads = 0, llc_misses = 0, scopes = 0;
     };
@@ -216,6 +219,7 @@ int main(int argc, char** argv) {
         const uint64_t loads = delta("llc_loads");
         const uint64_t misses = delta("llc_misses");
         const uint64_t scopes = delta("scopes");
+        const uint64_t task_clock_ns = delta("task_clock_ns");
         PhasePerfSamples& s = phase_perf[p];
         s.llc_miss_rate.push_back(
             loads > 0 ? static_cast<double>(misses) / loads : 0.0);
@@ -223,6 +227,10 @@ int main(int argc, char** argv) {
             cycles > 0 ? static_cast<double>(instructions) / cycles : 0.0);
         s.cycles_per_edge.push_back(
             scopes > 0 ? static_cast<double>(cycles) / scopes : 0.0);
+        s.ns_per_edge.push_back(
+            r.train_steps > 0
+                ? static_cast<double>(task_clock_ns) / r.train_steps
+                : 0.0);
         s.cycles += cycles;
         s.instructions += instructions;
         s.llc_loads += loads;
@@ -497,9 +505,10 @@ int main(int argc, char** argv) {
     sample_array("ckpt_base_gather_ms", base_gather_samples);
     sample_array("ckpt_compact_ms", compact_samples);
     sample_array("ckpt_chain_restore_ms", chain_restore_samples);
-    // Hardware-profile samples, one array per phase x derived metric. On
-    // PMU-less hosts the ladder emits all-zero arrays under the same
-    // names, so baseline/candidate schemas always line up.
+    // Profile samples, one array per phase x derived metric. On PMU-less
+    // hosts the ladder emits all-zero hardware arrays under the same
+    // names, so baseline/candidate schemas always line up; the task-clock
+    // _ns_per_edge arrays measure something on every tier.
     for (size_t p = 0; p < kNumPerfPhases; ++p) {
       const std::string prefix = std::string("phase_") + kPerfPhases[p];
       sample_array((prefix + "_llc_miss_rate").c_str(),
@@ -507,6 +516,8 @@ int main(int argc, char** argv) {
       sample_array((prefix + "_ipc").c_str(), phase_perf[p].ipc);
       sample_array((prefix + "_cycles_per_edge").c_str(),
                    phase_perf[p].cycles_per_edge);
+      sample_array((prefix + "_ns_per_edge").c_str(),
+                   phase_perf[p].ns_per_edge);
     }
     w.EndObject();
     // Which rung of the degradation ladder produced the perf samples,

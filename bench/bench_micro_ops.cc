@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <filesystem>
 
 #include "core/inslearn.h"
@@ -178,6 +179,37 @@ void BM_PortableAxpy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_PortableAxpy)->Arg(32)->Arg(64)->Arg(128);
+
+// One sparse-AdamW row update at a mid-run step's bias corrections.
+template <bool kPortable>
+void AdamRowBench(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const auto g = KernelVec(n, 11);
+  auto m = KernelVec(n, 12), w = KernelVec(n, 13);
+  std::vector<float> v(n, 0.5f);
+  const simd::AdamCoefficients c{0.9, 0.999, 1.0 - std::pow(0.9, 100.0),
+                                 1.0 - std::pow(0.999, 100.0), 1e-8, 1e-4,
+                                 1e-3};
+  for (auto _ : state) {
+    if (kPortable) {
+      simd::portable::AdamRow(g.data(), m.data(), v.data(), w.data(), n, c);
+    } else {
+      simd::AdamRow(g.data(), m.data(), v.data(), w.data(), n, c);
+    }
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  if (!kPortable) state.SetLabel(simd::BackendName());
+}
+
+void BM_SimdAdamRow(benchmark::State& state) { AdamRowBench<false>(state); }
+BENCHMARK(BM_SimdAdamRow)->Arg(1)->Arg(64);
+
+void BM_PortableAdamRow(benchmark::State& state) {
+  AdamRowBench<true>(state);
+}
+BENCHMARK(BM_PortableAdamRow)->Arg(1)->Arg(64);
 
 void BM_SimdScoreDot(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -2,7 +2,8 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstring>
+
+#include "util/simd.h"
 
 namespace supa {
 
@@ -66,10 +67,7 @@ float* GradBuffer::Row(size_t offset, size_t len) {
 
 void GradBuffer::Accumulate(size_t offset, size_t len, double alpha,
                             const float* vec) {
-  float* row = Row(offset, len);
-  for (size_t i = 0; i < len; ++i) {
-    row[i] += static_cast<float>(alpha * vec[i]);
-  }
+  simd::Axpy(alpha, vec, Row(offset, len), len);
 }
 
 void GradBuffer::AccumulateScalar(size_t offset, double g) {
@@ -93,41 +91,29 @@ SparseAdam::SparseAdam(size_t num_params, double lr, double weight_decay,
       m_(num_params, 0.0f),
       v_(num_params, 0.0f) {}
 
-void SparseAdam::UpdateRow(size_t offset, const float* g, size_t len,
-                           double bc1, double bc2, float* params,
-                           StepStats* stats) {
-  for (size_t i = 0; i < len; ++i) {
-    const size_t p = offset + i;
-    const double gi = g[i];
-    m_[p] = static_cast<float>(beta1_ * m_[p] + (1.0 - beta1_) * gi);
-    v_[p] = static_cast<float>(beta2_ * v_[p] + (1.0 - beta2_) * gi * gi);
-    const double mhat = m_[p] / bc1;
-    const double vhat = v_[p] / bc2;
-    double update = mhat / (std::sqrt(vhat) + eps_);
-    // Decoupled weight decay (AdamW).
-    update += weight_decay_ * params[p];
-    const double before = params[p];
-    params[p] = static_cast<float>(params[p] - lr_ * update);
-    if (stats != nullptr) {
-      // Reads only — the update above is byte-for-byte the unmonitored
-      // computation.
-      const double after = params[p];
+void SparseAdam::Step(const GradBuffer& grads, float* params,
+                      StepStats* stats) {
+  ++step_;
+  const double t = static_cast<double>(step_);
+  const simd::AdamCoefficients c{beta1_, beta2_, 1.0 - std::pow(beta1_, t),
+                                 1.0 - std::pow(beta2_, t), eps_,
+                                 weight_decay_, lr_};
+  grads.ForEach([&](size_t offset, const float* g, size_t len) {
+    MarkRow(offset, static_cast<uint32_t>(len));
+    float* w = params + offset;
+    // Monitored steps run the same kernel, bracketed by a copy of the row,
+    // so the norms come from the values it read and wrote.
+    if (stats != nullptr) row_before_.assign(w, w + len);
+    simd::AdamRow(g, m_.data() + offset, v_.data() + offset, w, len, c);
+    if (stats == nullptr) return;
+    for (size_t i = 0; i < len; ++i) {
+      const double before = row_before_[i];
+      const double after = w[i];
       const double change = after - before;
       stats->sum_update_sq += change * change;
       stats->sum_param_sq_before += before * before;
       stats->sum_param_sq_after += after * after;
     }
-  }
-}
-
-void SparseAdam::Step(const GradBuffer& grads, float* params,
-                      StepStats* stats) {
-  ++step_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(step_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(step_));
-  grads.ForEach([&](size_t offset, const float* g, size_t len) {
-    MarkRow(offset, static_cast<uint32_t>(len));
-    UpdateRow(offset, g, len, bc1, bc2, params, stats);
   });
 }
 

@@ -144,7 +144,7 @@ class SparseAdam {
 
   /// Optional per-step observability accumulator: squared L2 sums of the
   /// applied parameter change and of the touched rows before/after the
-  /// step. Filling it only *reads* values the update already computes —
+  /// step. Filling it only *reads* the rows around the one update kernel —
   /// the parameter math is identical whether or not stats are collected,
   /// so training stays bit-identical with monitoring on or off.
   struct StepStats {
@@ -225,12 +225,6 @@ class SparseAdam {
   void set_lr(double lr) { lr_ = lr; }
 
  private:
-  /// One row's moment + parameter update at bias corrections (bc1, bc2).
-  /// `stats` (nullable) accumulates observability norms without touching
-  /// the update math.
-  void UpdateRow(size_t offset, const float* g, size_t len, double bc1,
-                 double bc2, float* params, StepStats* stats);
-
   /// The single marking point behind Step/MarkDirty: keeps
   /// both dirty sets in lock-step so checkpoint tracking can never miss a
   /// row the rollback machinery saw.
@@ -247,6 +241,8 @@ class SparseAdam {
   uint64_t step_ = 0;
   std::vector<float> m_;
   std::vector<float> v_;
+  // A monitored step's pre-update copy of the row being updated.
+  std::vector<float> row_before_;
   DirtyRowSet dirty_;
   DirtyRowSet ckpt_dirty_;
   bool ckpt_tracking_ = false;

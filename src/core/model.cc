@@ -357,13 +357,6 @@ TrainStats SupaModel::RunEdgeMath(const EdgePlan& plan, ExecScratch* scratch,
     add_negatives(0, ctx_u);
     add_negatives(n, ctx_v);
   }
-
-  {
-    SUPA_TRACE_SPAN_CAT("optimize", "model");
-    SUPA_PERF_SCOPE(kOptimize);
-    BackpropUpdater(ctx_u, grads);
-    BackpropUpdater(ctx_v, grads);
-  }
   return stats;
 }
 
@@ -399,8 +392,11 @@ Result<TrainStats> SupaModel::TrainEdge(const TemporalEdge& e,
   const bool monitored = monitor.enabled();
   SparseAdam::StepStats step_stats;
   {
+    // One optimize scope per edge: the updater's backprop and the step.
     SUPA_TRACE_SPAN_CAT("optimize", "model");
     SUPA_PERF_SCOPE(kOptimize);
+    BackpropUpdater(serial_scratch_.ctx_u, serial_scratch_.grads);
+    BackpropUpdater(serial_scratch_.ctx_v, serial_scratch_.grads);
     adam_->Step(serial_scratch_.grads, store_->data(),
                 monitored ? &step_stats : nullptr);
   }
@@ -467,9 +463,13 @@ void SupaModel::ExecutePlanDeferred(EdgePlan* plan, ExecScratch* scratch) {
   sink.grads = &plan->grads;
   sink.gamma_u = &plan->gamma_u;
   sink.gamma_v = &plan->gamma_v;
-  // α rides in `grads` as a scalar row — the commit-time Step applies it
-  // exactly like the serial trainer.
   plan->stats = RunEdgeMath(*plan, scratch, sink);
+  // The updater's backprop runs here, against the group-start values the
+  // rest of the edge read; α rides in `grads` as a scalar row that the
+  // commit-time Step applies exactly like the serial trainer. Its cost
+  // stays in ingest_execute: the edge's one optimize scope is the commit.
+  BackpropUpdater(scratch->ctx_u, plan->grads);
+  BackpropUpdater(scratch->ctx_v, plan->grads);
 }
 
 void SupaModel::CommitPlanDeferred(const EdgePlan& plan) {

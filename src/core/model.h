@@ -312,9 +312,11 @@ class SupaModel {
   /// Routes dL/dh* into h^L, h^S, and α gradients.
   void BackpropUpdater(const UpdateContext& ctx, GradBuffer& grads);
 
-  /// The full per-edge loss/gradient computation over a banked plan.
-  /// Clears the sink's gradient buffer (scratch->grads by default), fills
-  /// it and the sink's banked outputs, and returns the step's stats.
+  /// The per-edge loss/gradient computation over a banked plan, up to the
+  /// updater's backprop (BackpropUpdater on scratch->ctx_u/ctx_v), which
+  /// each caller runs next so that it lands in one optimize scope per
+  /// edge. Clears the sink's gradient buffer (scratch->grads by default),
+  /// fills it and the sink's banked outputs, and returns the step's stats.
   /// Shared verbatim by the serial TrainEdge and ExecutePlanDeferred —
   /// the two differ only in how gradients are applied.
   TrainStats RunEdgeMath(const EdgePlan& plan, ExecScratch* scratch,

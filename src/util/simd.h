@@ -22,8 +22,11 @@
 //     short_w·h^S), both paths use IEEE fused multiply-add (std::fma /
 //     vfmadd), which pins a single rounding on every platform.
 //   * Elementwise kernels (Axpy, Scale, Add, AddInto, HalfSum,
-//     CombineHalf) have no cross-lane dependency at all; both paths apply
-//     the same per-element rounding sequence.
+//     CombineHalf, AdamRow) have no cross-lane dependency at all; both
+//     paths apply the same per-element rounding sequence.
+//   * Where a kernel's products are inexact and the reference rounds them
+//     separately (AdamRow's beta1*m + (1-beta1)*g), the AVX2 path must not
+//     be contracted into FMA; see AdamRow below.
 //
 // The environment variable SUPA_SIMD=portable forces the portable path
 // (useful for cross-checking and benchmarking).
@@ -67,6 +70,19 @@ inline bool HasAvx2() {
 
 /// Human-readable backend name for logs and bench reports.
 inline const char* BackendName() { return HasAvx2() ? "avx2" : "portable"; }
+
+/// Per-step constants of one AdamW row update: the optimizer's
+/// hyperparameters plus the step's bias corrections bc1 = 1 - beta1^t and
+/// bc2 = 1 - beta2^t.
+struct AdamCoefficients {
+  double beta1;
+  double beta2;
+  double bc1;
+  double bc2;
+  double eps;
+  double weight_decay;
+  double lr;
+};
 
 // ---------------------------------------------------------------------------
 // Portable reference implementations. These define the semantics; the AVX2
@@ -176,6 +192,26 @@ inline double ScoreDot(const float* al, const float* as, const float* ac,
     acc = ScoreDotTail(acc, al, as, ac, bl, bs, bc, short_w, i);
   }
   return acc;
+}
+
+/// One sparse-AdamW row update in double precision, element by element:
+///   m = float(b1*m + (1-b1)*g),  v = float(b2*v + ((1-b2)*g)*g),
+///   u = (m/bc1) / (sqrt(v/bc2) + eps) + wd*w,  w = float(w - lr*u).
+/// Every product and sum rounds separately (no fused multiply-add), and
+/// the bias-corrected moments are read back from their float roundings.
+inline void AdamRow(const float* g, float* m, float* v, float* w, size_t n,
+                    const AdamCoefficients& c) {
+  for (size_t i = 0; i < n; ++i) {
+    const double gi = g[i];
+    m[i] = static_cast<float>(c.beta1 * m[i] + (1.0 - c.beta1) * gi);
+    v[i] = static_cast<float>(c.beta2 * v[i] + (1.0 - c.beta2) * gi * gi);
+    const double mhat = m[i] / c.bc1;
+    const double vhat = v[i] / c.bc2;
+    double update = mhat / (std::sqrt(vhat) + c.eps);
+    // Decoupled weight decay (AdamW).
+    update += c.weight_decay * w[i];
+    w[i] = static_cast<float>(w[i] - c.lr * update);
+  }
 }
 
 }  // namespace portable
@@ -348,6 +384,51 @@ SUPA_TARGET_AVX2 inline double ScoreDot(const float* al, const float* as,
   return out;
 }
 
+// AdamRow reproduces a reference that rounds every product on its own.
+// GCC compiles C++ with -ffp-contract=fast, and its _mm256_mul_pd /
+// _mm256_add_pd are plain vector arithmetic, so under target("fma") it
+// fuses add(mul(a, b), c) into one vfmadd — a single rounding that breaks
+// bit-identity with the portable path. This kernel therefore targets AVX2
+// alone: without FMA in the target there is nothing to contract into.
+// IEEE div and sqrt are correctly rounded per lane, so the vector lanes
+// match the scalar reference exactly.
+__attribute__((target("avx2"))) inline void AdamRow(
+    const float* g, float* m, float* v, float* w, size_t n,
+    const AdamCoefficients& c) {
+  const __m256d b1 = _mm256_set1_pd(c.beta1);
+  const __m256d nb1 = _mm256_set1_pd(1.0 - c.beta1);
+  const __m256d b2 = _mm256_set1_pd(c.beta2);
+  const __m256d nb2 = _mm256_set1_pd(1.0 - c.beta2);
+  const __m256d bc1 = _mm256_set1_pd(c.bc1);
+  const __m256d bc2 = _mm256_set1_pd(c.bc2);
+  const __m256d eps = _mm256_set1_pd(c.eps);
+  const __m256d wd = _mm256_set1_pd(c.weight_decay);
+  const __m256d lr = _mm256_set1_pd(c.lr);
+  const size_t n4 = n & ~static_cast<size_t>(3);
+  size_t i = 0;
+  for (; i < n4; i += 4) {
+    const __m256d gd = _mm256_cvtps_pd(_mm_loadu_ps(g + i));
+    const __m256d wp = _mm256_cvtps_pd(_mm_loadu_ps(w + i));
+    const __m128 mf = _mm256_cvtpd_ps(_mm256_add_pd(
+        _mm256_mul_pd(b1, _mm256_cvtps_pd(_mm_loadu_ps(m + i))),
+        _mm256_mul_pd(nb1, gd)));
+    const __m128 vf = _mm256_cvtpd_ps(_mm256_add_pd(
+        _mm256_mul_pd(b2, _mm256_cvtps_pd(_mm_loadu_ps(v + i))),
+        _mm256_mul_pd(_mm256_mul_pd(nb2, gd), gd)));
+    _mm_storeu_ps(m + i, mf);
+    _mm_storeu_ps(v + i, vf);
+    const __m256d mhat = _mm256_div_pd(_mm256_cvtps_pd(mf), bc1);
+    const __m256d vhat = _mm256_div_pd(_mm256_cvtps_pd(vf), bc2);
+    const __m256d update = _mm256_add_pd(
+        _mm256_div_pd(mhat, _mm256_add_pd(_mm256_sqrt_pd(vhat), eps)),
+        _mm256_mul_pd(wd, wp));
+    _mm_storeu_ps(w + i, _mm256_cvtpd_ps(
+                             _mm256_sub_pd(wp, _mm256_mul_pd(lr, update))));
+  }
+  // Compiled under this function's target, which has no FMA either.
+  portable::AdamRow(g + i, m + i, v + i, w + i, n - i, c);
+}
+
 }  // namespace avx2
 
 #undef SUPA_TARGET_AVX2
@@ -416,6 +497,14 @@ inline double ScoreDot(const float* al, const float* as, const float* ac,
     return avx2::ScoreDot(al, as, ac, bl, bs, bc, short_w, n);
 #endif
   return portable::ScoreDot(al, as, ac, bl, bs, bc, short_w, n);
+}
+
+inline void AdamRow(const float* g, float* m, float* v, float* w, size_t n,
+                    const AdamCoefficients& c) {
+#if SUPA_SIMD_X86
+  if (HasAvx2()) return avx2::AdamRow(g, m, v, w, n, c);
+#endif
+  portable::AdamRow(g, m, v, w, n, c);
 }
 
 }  // namespace supa::simd

@@ -98,6 +98,8 @@ TEST(DirectionForMetricTest, HardwareProfileSuffixes) {
             MetricDirection::kLowerIsBetter);
   EXPECT_EQ(DirectionForMetric("phase_update_cycles_per_edge"),
             MetricDirection::kLowerIsBetter);
+  EXPECT_EQ(DirectionForMetric("phase_optimize_ns_per_edge"),
+            MetricDirection::kLowerIsBetter);
   EXPECT_EQ(DirectionForMetric("ingest_execute_cycles"),
             MetricDirection::kLowerIsBetter);
   EXPECT_EQ(DirectionForMetric("ingest_plan_llc_misses"),

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace supa {
@@ -264,6 +266,66 @@ TEST(SparseAdamTest, SnapshotRestoreRoundTrip) {
   adam.Step(g, param.data());
   adam2.Step(g, p2.data());
   EXPECT_EQ(param[0], p2[0]);
+}
+
+std::vector<uint32_t> Bits(const std::vector<float>& v) {
+  std::vector<uint32_t> out(v.size());
+  if (!v.empty()) std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
+  return out;
+}
+
+// Monitoring must not fork the update: a step with StepStats leaves the
+// parameters and both moments bit-identical to one without, and its three
+// sums equal an element-order recomputation from the rows before/after.
+TEST(SparseAdamTest, StepStatsLeaveUpdateBitIdentical) {
+  constexpr size_t kParams = 200;
+  std::vector<float> plain(kParams), monitored(kParams);
+  for (size_t i = 0; i < kParams; ++i) {
+    plain[i] = static_cast<float>(std::sin(0.37 * i) * 2.0);
+  }
+  monitored = plain;
+  SparseAdam adam_plain(kParams, 0.05, 0.01);
+  SparseAdam adam_monitored(kParams, 0.05, 0.01);
+  GradBuffer g;
+  for (int step = 0; step < 12; ++step) {
+    g.Clear();
+    // Rows of several widths (1 = an α scalar, 64 = a typical dim) at
+    // step-dependent offsets, with one row accumulated twice.
+    std::vector<float> vec(64);
+    for (size_t i = 0; i < vec.size(); ++i) {
+      vec[i] = static_cast<float>(std::cos(0.11 * i + step));
+    }
+    g.Accumulate(3 + step, 64, 0.5, vec.data());
+    g.Accumulate(100, 17, -1.25, vec.data());
+    g.AccumulateScalar(199, 0.3 * (step - 5));
+    g.Accumulate(3 + step, 64, 0.25, vec.data());
+    g.Accumulate(130 + step % 3, 5, 2.0, vec.data() + 7);
+
+    const std::vector<float> before = monitored;
+    SparseAdam::StepStats stats;
+    adam_plain.Step(g, plain.data());
+    adam_monitored.Step(g, monitored.data(), &stats);
+    ASSERT_EQ(Bits(plain), Bits(monitored)) << "step " << step;
+
+    SparseAdam::StepStats want;
+    g.ForEach([&](size_t offset, const float*, size_t len) {
+      for (size_t i = offset; i < offset + len; ++i) {
+        const double b = before[i];
+        const double a = monitored[i];
+        want.sum_update_sq += (a - b) * (a - b);
+        want.sum_param_sq_before += b * b;
+        want.sum_param_sq_after += a * a;
+      }
+    });
+    EXPECT_EQ(stats.sum_update_sq, want.sum_update_sq);
+    EXPECT_EQ(stats.sum_param_sq_before, want.sum_param_sq_before);
+    EXPECT_EQ(stats.sum_param_sq_after, want.sum_param_sq_after);
+    EXPECT_GT(stats.sum_update_sq, 0.0);
+  }
+  const SparseAdam::State state_plain = adam_plain.Snapshot();
+  const SparseAdam::State state_monitored = adam_monitored.Snapshot();
+  EXPECT_EQ(Bits(state_plain.m), Bits(state_monitored.m));
+  EXPECT_EQ(Bits(state_plain.v), Bits(state_monitored.v));
 }
 
 }  // namespace

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <string>
 
+#include "core/inslearn.h"
 #include "core/model.h"
 #include "data/synthetic.h"
 #include "json_check.h"
@@ -231,6 +233,38 @@ TEST(PerfBitIdentityTest, ProfilingDoesNotPerturbTraining) {
   const auto profiled = train(true);
   const auto plain = train(false);
   EXPECT_EQ(profiled.params, plain.params);
+}
+
+// One optimize scope per trained edge, so `cycles / scopes` is the
+// optimize cost per edge — on the serial loop and on the pipeline, whose
+// executor runs the updater's backprop and whose commit runs the step.
+TEST(PerfScopeCountTest, OneOptimizeScopePerTrainStep) {
+  Dataset data = MakeTaobao(0.15, 41).value();
+  SupaConfig config;
+  config.dim = 16;
+  config.num_walks = 2;
+  config.walk_len = 3;
+  config.num_neg = 3;
+  config.seed = 5;
+  for (size_t writers : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(::testing::Message() << "writer_threads=" << writers);
+    InsLearnConfig train;
+    train.batch_size = 256;
+    train.max_iters = 2;
+    train.valid_interval = 1;
+    train.valid_size = 30;
+    train.valid_negatives = 20;
+    train.writer_threads = writers;
+    GlobalPerfScope scope(true);
+    const uint64_t before = CounterNow("perf.optimize.scopes");
+    SupaModel model(data, config);
+    auto report = InsLearnTrainer(train).Train(
+        model, data, EdgeRange{0, std::min<size_t>(800, data.edges.size())});
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_GT(report.value().train_steps, 0u);
+    EXPECT_EQ(CounterNow("perf.optimize.scopes") - before,
+              report.value().train_steps);
+  }
 }
 
 }  // namespace

@@ -56,14 +56,16 @@ MetricDirection DirectionForMetric(std::string_view name) {
        {"_ipc", "_per_sec", "_throughput", "_mrr", "_hits"}) {
     if (EndsWith(name, suffix)) return MetricDirection::kHigherIsBetter;
   }
-  // Cost-style metrics: wall/latency times plus the hardware-profile
-  // counters ("_cycles_per_edge" is listed separately because
-  // EndsWith("_cycles") does not match it). "_loss" / "_grad_norm" are
-  // the model-quality arrays where up means worse — these gate a quality
-  // regression even when wall-clock metrics are unchanged.
+  // Cost-style metrics: wall/latency times plus the profile counters
+  // ("_cycles_per_edge" and the task-clock "_ns_per_edge" are listed
+  // separately because EndsWith("_cycles") / EndsWith("_ns") do not match
+  // them). "_loss" / "_grad_norm" are the model-quality arrays where up
+  // means worse — these gate a quality regression even when wall-clock
+  // metrics are unchanged.
   for (std::string_view suffix :
        {"_s", "_ms", "_us", "_ns", "_seconds", "_wall", "_latency",
-        "_miss_rate", "_cycles", "_misses", "_cycles_per_edge", "_loss",
+        "_miss_rate", "_cycles", "_misses", "_cycles_per_edge",
+        "_ns_per_edge", "_loss",
         "_grad_norm"}) {
     if (EndsWith(name, suffix)) return MetricDirection::kLowerIsBetter;
   }
