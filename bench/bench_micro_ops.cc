@@ -270,7 +270,7 @@ void BM_InfluencedGraphSamplingArena(benchmark::State& state) {
 }
 BENCHMARK(BM_InfluencedGraphSamplingArena)->Arg(1)->Arg(4)->Arg(16);
 
-// ---- Snapshots: full-buffer copy vs O(dirty) delta -----------------------
+// ---- Snapshots: Algorithm 1's full-buffer Φ_best copy -------------------
 
 std::unique_ptr<SupaModel> TrainedModel(size_t train_edges) {
   const Dataset& data = BenchData();
@@ -299,20 +299,6 @@ void BM_TakeFullSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_TakeFullSnapshot);
 
-void BM_TakeDeltaSnapshot(benchmark::State& state) {
-  auto model = TrainedModel(2000);
-  (void)model->TakeDeltaSnapshot();  // establish the baseline outside timing
-  size_t i = 2000;
-  for (auto _ : state) {
-    state.PauseTiming();
-    TrainBurst(*model, 2000 + (i++ % 2000), 32);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(model->TakeDeltaSnapshot());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TakeDeltaSnapshot);
-
 void BM_RestoreFullSnapshot(benchmark::State& state) {
   auto model = TrainedModel(2000);
   const SupaModel::Snapshot snap = model->TakeSnapshot();
@@ -327,21 +313,6 @@ void BM_RestoreFullSnapshot(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RestoreFullSnapshot);
-
-void BM_RestoreDeltaSnapshot(benchmark::State& state) {
-  auto model = TrainedModel(2000);
-  const SupaModel::DeltaSnapshot snap = model->TakeDeltaSnapshot();
-  size_t i = 2000;
-  for (auto _ : state) {
-    state.PauseTiming();
-    TrainBurst(*model, 2000 + (i++ % 2000), 32);
-    state.ResumeTiming();
-    model->RestoreDeltaSnapshot(snap);
-    benchmark::DoNotOptimize(model->store().data());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RestoreDeltaSnapshot);
 
 // ---- Observability overhead ----------------------------------------------
 //

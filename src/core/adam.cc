@@ -1,5 +1,6 @@
 #include "core/adam.h"
 
+#include <atomic>
 #include <cassert>
 #include <cmath>
 
@@ -99,7 +100,7 @@ void SparseAdam::Step(const GradBuffer& grads, float* params,
                                  1.0 - std::pow(beta2_, t), eps_,
                                  weight_decay_, lr_};
   grads.ForEach([&](size_t offset, const float* g, size_t len) {
-    MarkRow(offset, static_cast<uint32_t>(len));
+    MarkDirty(offset, static_cast<uint32_t>(len));
     float* w = params + offset;
     // Monitored steps run the same kernel, bracketed by a copy of the row,
     // so the norms come from the values it read and wrote.
@@ -121,9 +122,14 @@ void SparseAdam::Restore(const State& state) {
   m_ = state.m;
   v_ = state.v;
   step_ = state.step;
-  // A whole-buffer rewrite: row tracking can no longer bound what changed
-  // since the last checkpoint link, so force the next link to a full base.
-  MarkAllCheckpointDirty();
+  // A state from another epoch or optimizer (or a file) may differ from
+  // the live one on rows the tracker never saw: force a full base.
+  if (state.ckpt_epoch != ckpt_epoch_) MarkAllCheckpointDirty();
+}
+
+uint64_t SparseAdam::NextCheckpointEpoch() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace supa

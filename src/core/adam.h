@@ -12,7 +12,7 @@
 // steady-state allocation. Iteration (ForEach) walks the insertion-ordered
 // row list, never bucket order, so the visit order is deterministic and
 // bit-identical across platforms; this is part of the determinism contract
-// the optimizer and delta snapshots rely on.
+// the optimizer and checkpoint delta links rely on.
 
 #ifndef SUPA_CORE_ADAM_H_
 #define SUPA_CORE_ADAM_H_
@@ -102,8 +102,8 @@ class GradBuffer {
 };
 
 /// The set of parameter rows touched since the last reset — the "dirty"
-/// rows a delta snapshot must copy. Same flat layout as GradBuffer, minus
-/// the payload.
+/// rows a checkpoint delta link must copy. Same flat layout as GradBuffer,
+/// minus the payload.
 class DirtyRowSet {
  public:
   /// Marks [offset, offset + len) dirty (idempotent).
@@ -155,8 +155,8 @@ class SparseAdam {
 
   /// Applies one optimization step with the accumulated gradients;
   /// minimizes the loss (descends). Increments the global step and marks
-  /// every touched row dirty. `stats`, when non-null, accumulates the
-  /// step's norms for the model monitor.
+  /// every touched row checkpoint-dirty. `stats`, when non-null,
+  /// accumulates the step's norms for the model monitor.
   void Step(const GradBuffer& grads, float* params,
             StepStats* stats = nullptr);
 
@@ -166,34 +166,37 @@ class SparseAdam {
 
   /// Global step count so far.
   uint64_t step_count() const { return step_; }
-  /// Rewinds the step counter (delta-snapshot restore).
-  void set_step_count(uint64_t step) { step_ = step; }
 
   /// Optimizer-state snapshot/rollback, paired with EmbeddingStore's.
+  /// `ckpt_epoch` is the checkpoint epoch the state was taken in (see
+  /// Restore); 0 is never issued, so a State built from a file always
+  /// counts as foreign.
   struct State {
     std::vector<float> m;
     std::vector<float> v;
     uint64_t step = 0;
+    uint64_t ckpt_epoch = 0;
   };
-  State Snapshot() const { return State{m_, v_, step_}; }
+  State Snapshot() const { return State{m_, v_, step_, ckpt_epoch_}; }
+  /// Rolls m, v and the step back to `state`. When `state` was taken by
+  /// this optimizer in the current checkpoint epoch, every row changed
+  /// since then is already checkpoint-dirty and the unmarked rows are
+  /// unchanged, so the dirty set still bounds the distance to the last
+  /// link. Any other state overflows checkpoint tracking.
   void Restore(const State& state);
 
-  /// Rows whose parameters/moments may have changed since the last
-  /// ClearDirty(). Maintained by Step(); callers that mutate parameters
-  /// outside the optimizer (e.g. the updater's short-term forgetting) must
-  /// MarkDirty() the row themselves.
-  const DirtyRowSet& dirty_rows() const { return dirty_; }
-  void MarkDirty(size_t offset, uint32_t len) { MarkRow(offset, len); }
-  void ClearDirty() { dirty_.Clear(); }
+  /// Marks a row the caller mutated outside Step (e.g. the updater's
+  /// short-term forgetting) checkpoint-dirty.
+  void MarkDirty(size_t offset, uint32_t len) {
+    if (ckpt_tracking_ && !ckpt_overflow_) ckpt_dirty_.Mark(offset, len);
+  }
 
   /// -- Checkpoint dirty tracking (durability engine) ------------------
   ///
-  /// A second dirty set with an independent lifecycle: `dirty_` is owned
-  /// by the delta-snapshot rollback machinery and is cleared/re-based on
-  /// every Φ_best restore, while `ckpt_dirty_` accumulates every row
-  /// touched since the last durable checkpoint link and is cleared only
-  /// by ClearCheckpointDirty() at link-cut time. Off by default so the
-  /// hot path pays nothing when durability is not enabled.
+  /// `ckpt_dirty_` accumulates every row touched since the last durable
+  /// checkpoint link and is cleared only by ClearCheckpointDirty() at
+  /// link-cut time. Off by default so the hot path pays nothing when
+  /// durability is not enabled.
   void set_checkpoint_tracking(bool on) { ckpt_tracking_ = on; }
   bool checkpoint_tracking() const { return ckpt_tracking_; }
 
@@ -201,37 +204,35 @@ class SparseAdam {
   /// checkpoint_dirty_overflow() is set — take a full base instead.
   const DirtyRowSet& checkpoint_dirty_rows() const { return ckpt_dirty_; }
 
-  /// True after a whole-buffer mutation (full State restore, external
+  /// True after a whole-buffer mutation (a foreign State restore, external
   /// bulk load) that row tracking cannot bound; the next checkpoint link
   /// must be a full base.
   bool checkpoint_dirty_overflow() const { return ckpt_overflow_; }
+  /// Both start a new checkpoint epoch: a State taken before either call
+  /// no longer restores within tracking.
   void MarkAllCheckpointDirty() {
+    ckpt_epoch_ = NextCheckpointEpoch();
     if (!ckpt_tracking_) return;
     ckpt_overflow_ = true;
     ckpt_dirty_.Clear();
   }
   void ClearCheckpointDirty() {
+    ckpt_epoch_ = NextCheckpointEpoch();
     ckpt_dirty_.Clear();
     ckpt_overflow_ = false;
   }
 
-  /// Raw moment access for row-wise delta snapshot/restore.
-  float* m_data() { return m_.data(); }
+  /// Read-only moment access for the checkpoint delta capture.
   const float* m_data() const { return m_.data(); }
-  float* v_data() { return v_.data(); }
   const float* v_data() const { return v_.data(); }
 
   double lr() const { return lr_; }
   void set_lr(double lr) { lr_ = lr; }
 
  private:
-  /// The single marking point behind Step/MarkDirty: keeps
-  /// both dirty sets in lock-step so checkpoint tracking can never miss a
-  /// row the rollback machinery saw.
-  void MarkRow(size_t offset, uint32_t len) {
-    dirty_.Mark(offset, len);
-    if (ckpt_tracking_ && !ckpt_overflow_) ckpt_dirty_.Mark(offset, len);
-  }
+  /// A process-wide unique epoch, never 0: epochs from different
+  /// optimizers never compare equal.
+  static uint64_t NextCheckpointEpoch();
 
   double lr_;
   double weight_decay_;
@@ -243,10 +244,10 @@ class SparseAdam {
   std::vector<float> v_;
   // A monitored step's pre-update copy of the row being updated.
   std::vector<float> row_before_;
-  DirtyRowSet dirty_;
   DirtyRowSet ckpt_dirty_;
   bool ckpt_tracking_ = false;
   bool ckpt_overflow_ = false;
+  uint64_t ckpt_epoch_ = NextCheckpointEpoch();
 };
 
 }  // namespace supa

@@ -93,27 +93,21 @@ class Heartbeat {
     return total;
   }
 
-  /// ", queue_wait_us p50/p95/p99 2/11/52" for each live histogram, plus
-  /// the per-edge hardware cost since the last beat when profiling is on.
-  /// One registry snapshot per beat — far off the hot path.
+  /// ", queue_wait_us p50/p95/p99 2/11/52" once the thread-pool queue-wait
+  /// histogram has samples, plus the per-edge hardware cost since the last
+  /// beat when profiling is on. One registry snapshot per beat — far off
+  /// the hot path.
   std::string QuantileSuffix() {
     const obs::MetricsSnapshot snapshot =
         obs::MetricsRegistry::Global().Snapshot();
-    struct NamedHist {
-      const char* metric;
-      const char* label;
-    };
     std::string out;
-    for (const NamedHist h : {NamedHist{"threadpool.queue_wait_us",
-                                        "queue_wait_us"},
-                              NamedHist{"snapshot.dirty_rows",
-                                        "dirty_rows"}}) {
-      const obs::MetricsSnapshot::Entry* e = snapshot.Find(h.metric);
-      if (e == nullptr || e->count == 0) continue;
+    const obs::MetricsSnapshot::Entry* e =
+        snapshot.Find("threadpool.queue_wait_us");
+    if (e != nullptr && e->count > 0) {
       char buf[96];
-      std::snprintf(buf, sizeof(buf), ", %s p50/p95/p99 %.0f/%.0f/%.0f",
-                    h.label, e->Quantile(0.50), e->Quantile(0.95),
-                    e->Quantile(0.99));
+      std::snprintf(buf, sizeof(buf),
+                    ", queue_wait_us p50/p95/p99 %.0f/%.0f/%.0f",
+                    e->Quantile(0.50), e->Quantile(0.95), e->Quantile(0.99));
       out += buf;
     }
     if (obs::PerfProfiler::Global().enabled()) {
@@ -384,8 +378,7 @@ Result<InsLearnReport> InsLearnTrainer::TrainSinglePass(
     // Φ_best is captured lazily on the first validation improvement; a
     // batch that never improves (or never validates) pays nothing.
     bool have_best = false;
-    SupaModel::DeltaSnapshot best_delta;
-    SupaModel::Snapshot best_full;
+    SupaModel::Snapshot best;
 
     bool first_iteration = true;
     for (int iter = 1; iter <= config_.max_iters; ++iter) {
@@ -425,11 +418,7 @@ Result<InsLearnReport> InsLearnTrainer::TrainSinglePass(
           {
             StopwatchGuard guard(&report.snapshot_seconds);
             SUPA_TRACE_SPAN_CAT("inslearn/snapshot", "inslearn");
-            if (config_.use_delta_snapshots) {
-              best_delta = model.TakeDeltaSnapshot();
-            } else {
-              best_full = model.TakeSnapshot();
-            }
+            best = model.TakeSnapshot();
           }
           have_best = true;
           patience_used = 0;
@@ -444,11 +433,7 @@ Result<InsLearnReport> InsLearnTrainer::TrainSinglePass(
     if (have_best) {
       StopwatchGuard guard(&report.snapshot_seconds);
       SUPA_TRACE_SPAN_CAT("inslearn/rollback", "inslearn");
-      if (config_.use_delta_snapshots) {
-        model.RestoreDeltaSnapshot(best_delta);
-      } else {
-        model.RestoreSnapshot(best_full);
-      }
+      model.RestoreSnapshot(best);
     }
     report.batch_scores.push_back(best_score);
     heartbeat.BatchDone(best_score);
@@ -507,8 +492,7 @@ Result<InsLearnReport> InsLearnTrainer::TrainFullPass(SupaModel& model,
   // Lazily captured on the first validation improvement, as in
   // TrainSinglePass.
   bool have_best = false;
-  SupaModel::DeltaSnapshot best_delta;
-  SupaModel::Snapshot best_full;
+  SupaModel::Snapshot best;
 
   for (int epoch = 1; epoch <= config_.full_pass_epochs; ++epoch) {
     SUPA_TRACE_SPAN_CAT("inslearn/epoch", "inslearn");
@@ -547,11 +531,7 @@ Result<InsLearnReport> InsLearnTrainer::TrainFullPass(SupaModel& model,
         {
           StopwatchGuard guard(&report.snapshot_seconds);
           SUPA_TRACE_SPAN_CAT("inslearn/snapshot", "inslearn");
-          if (config_.use_delta_snapshots) {
-            best_delta = model.TakeDeltaSnapshot();
-          } else {
-            best_full = model.TakeSnapshot();
-          }
+          best = model.TakeSnapshot();
         }
         have_best = true;
         patience_used = 0;
@@ -564,11 +544,7 @@ Result<InsLearnReport> InsLearnTrainer::TrainFullPass(SupaModel& model,
   if (have_best) {
     StopwatchGuard guard(&report.snapshot_seconds);
     SUPA_TRACE_SPAN_CAT("inslearn/rollback", "inslearn");
-    if (config_.use_delta_snapshots) {
-      model.RestoreDeltaSnapshot(best_delta);
-    } else {
-      model.RestoreSnapshot(best_full);
-    }
+    model.RestoreSnapshot(best);
   }
   {
     StopwatchGuard guard(&report.observe_seconds);

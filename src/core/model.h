@@ -156,45 +156,6 @@ class SupaModel {
   Snapshot TakeSnapshot() const;
   void RestoreSnapshot(const Snapshot& snapshot);
 
-  /// O(dirty) snapshot: the rows touched since the current baseline plus a
-  /// shared handle to that baseline. Algorithm 1 snapshots every
-  /// I_valid-th iteration but only O(touched-rows) parameters actually
-  /// change between snapshots, so copying the dirty rows instead of the
-  /// whole buffer turns an O(|V|·(2+R)·d) copy into an O(dirty) one.
-  ///
-  /// Protocol:
-  ///   * The model keeps one full baseline copy (re-established lazily and
-  ///     whenever the dirty set outgrows kRebaseDirtyFraction of the
-  ///     buffer, which amortizes the occasional full copy).
-  ///   * TakeDeltaSnapshot records every row dirty since that baseline.
-  ///   * RestoreDeltaSnapshot reverts currently-dirty rows to the baseline
-  ///     and re-applies the snapshot's rows — O(dirty) when the snapshot
-  ///     shares the live baseline (compared by shared_ptr identity, which
-  ///     both sides keep alive, so it cannot alias a recycled object), and
-  ///     a full copy from the snapshot's own baseline otherwise, so stale
-  ///     snapshots restore correctly after a re-base or a full
-  ///     RestoreSnapshot.
-  ///
-  /// Debug builds additionally embed a full copy in every delta snapshot
-  /// and assert after restore that the delta path reproduced it
-  /// bit-for-bit.
-  struct DeltaSnapshot {
-    std::shared_ptr<const Snapshot> baseline;
-    /// Dirty rows at snapshot time: row i covers
-    /// [offsets[i], offsets[i] + lens[i]) and its payload lives at the
-    /// running prefix position in params/m/v.
-    std::vector<size_t> offsets;
-    std::vector<uint32_t> lens;
-    std::vector<float> params;
-    std::vector<float> m;
-    std::vector<float> v;
-    uint64_t adam_step = 0;
-    /// Filled only in debug builds (determinism cross-check).
-    Snapshot debug_full;
-  };
-  DeltaSnapshot TakeDeltaSnapshot();
-  void RestoreDeltaSnapshot(const DeltaSnapshot& snapshot);
-
   const DynamicGraph& graph() const { return *graph_; }
   DynamicGraph& mutable_graph() { return *graph_; }
   const SupaConfig& config() const { return config_; }
@@ -334,10 +295,6 @@ class SupaModel {
   /// per-step stream). Thread-safe on a frozen negative table.
   NodeId SampleNegative(NodeId u, NodeId v, Rng& rng) const;
 
-  /// Drops the delta baseline (after a whole-buffer restore) so stale
-  /// delta snapshots take the full-copy fallback.
-  void InvalidateDeltaBaseline();
-
   SupaConfig config_;
   /// Durability edge log (null when durability is off). Not owned.
   EdgeLogSink* edge_log_ = nullptr;
@@ -352,9 +309,6 @@ class SupaModel {
   std::vector<double> degrees_;
   AliasTable neg_table_;
   size_t observed_since_rebuild_ = 0;
-
-  // delta-snapshot baseline (see DeltaSnapshot)
-  std::shared_ptr<const Snapshot> delta_baseline_;
 
   // reusable scratch (serial TrainEdge path; the pipeline owns its own
   // plans and per-writer scratches)

@@ -2,7 +2,7 @@
 //
 // Placement must be a pure function of the node id (not arrival order, not
 // degree) so that two stores built over the same node set agree on where
-// every row lives — the property that makes checkpoints, delta snapshots,
+// every row lives — the property that makes checkpoints, their delta links,
 // and future multi-node layouts portable across shard counts. We hash with
 // the same SplitMix64 mix the deterministic-parallelism layer uses, under
 // a fixed seed that is part of the on-disk compatibility story.

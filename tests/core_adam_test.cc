@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <vector>
 
 namespace supa {
@@ -75,8 +76,8 @@ TEST(GradBufferTest, ForEachVisitsAllRows) {
 TEST(GradBufferTest, ForEachIteratesInInsertionOrder) {
   // The flat table must iterate rows in the order they were first touched —
   // never hash-bucket order. This is part of the determinism contract:
-  // SparseAdam applies rows in this order, and delta snapshots record them
-  // in this order.
+  // SparseAdam applies rows in this order, and checkpoint delta links record
+  // them in this order.
   GradBuffer g;
   const std::vector<size_t> offsets = {96, 0, 1024, 8, 4096, 16, 72};
   const float v[4] = {1.0f, 2.0f, 3.0f, 4.0f};
@@ -183,13 +184,102 @@ TEST(SparseAdamTest, StepMarksTouchedRowsDirty) {
   GradBuffer g;
   g.AccumulateScalar(2, 1.0);
   g.AccumulateScalar(5, -1.0);
+  // Tracking is off until durability turns it on: nothing is recorded.
   adam.Step(g, param.data());
-  EXPECT_EQ(adam.dirty_rows().num_rows(), 2u);
+  EXPECT_EQ(adam.checkpoint_dirty_rows().num_rows(), 0u);
+
+  adam.set_checkpoint_tracking(true);
+  adam.ClearCheckpointDirty();
+  adam.Step(g, param.data());
+  EXPECT_EQ(adam.checkpoint_dirty_rows().num_rows(), 2u);
   adam.MarkDirty(6, 2);
-  EXPECT_EQ(adam.dirty_rows().num_rows(), 3u);
-  EXPECT_EQ(adam.dirty_rows().num_floats(), 4u);
-  adam.ClearDirty();
-  EXPECT_EQ(adam.dirty_rows().num_rows(), 0u);
+  EXPECT_EQ(adam.checkpoint_dirty_rows().num_rows(), 3u);
+  EXPECT_EQ(adam.checkpoint_dirty_rows().num_floats(), 4u);
+  adam.ClearCheckpointDirty();
+  EXPECT_EQ(adam.checkpoint_dirty_rows().num_rows(), 0u);
+}
+
+// ---- Restore vs checkpoint tracking ---------------------------------------
+//
+// Restoring a State taken in the current checkpoint epoch keeps row
+// tracking: every row changed since the snapshot is already dirty. Any
+// other State forces the next checkpoint link to a full base.
+
+constexpr size_t kRowLen = 4;
+constexpr size_t kRows = 8;
+
+/// One step on the given rows (each kRowLen floats).
+void StepRows(SparseAdam& adam, std::vector<float>& params,
+              std::initializer_list<size_t> rows) {
+  GradBuffer g;
+  const float grad[kRowLen] = {0.5f, -1.0f, 2.0f, -0.25f};
+  for (const size_t r : rows) g.Accumulate(r * kRowLen, kRowLen, 1.0, grad);
+  adam.Step(g, params.data());
+}
+
+SparseAdam TrackedAdam() {
+  SparseAdam adam(kRows * kRowLen, 0.1, 0.01);
+  adam.set_checkpoint_tracking(true);
+  adam.ClearCheckpointDirty();
+  return adam;
+}
+
+TEST(SparseAdamTest, RestoreWithinCheckpointEpochKeepsRowTracking) {
+  std::vector<float> params(kRows * kRowLen, 1.0f);
+  SparseAdam adam = TrackedAdam();
+  const std::vector<float> params_at_cut = params;
+  const SparseAdam::State at_cut = adam.Snapshot();
+
+  StepRows(adam, params, {0, 3});
+  const std::vector<float> params_snap = params;
+  const SparseAdam::State snap = adam.Snapshot();
+  StepRows(adam, params, {3, 5, 6});
+  adam.Restore(snap);
+  params = params_snap;
+
+  EXPECT_FALSE(adam.checkpoint_dirty_overflow());
+  std::vector<bool> tracked(kRows * kRowLen, false);
+  adam.checkpoint_dirty_rows().ForEach([&](size_t offset, uint32_t len) {
+    for (size_t i = offset; i < offset + len; ++i) tracked[i] = true;
+  });
+  // The reverted rows stay tracked...
+  for (const size_t r : {0, 3, 5, 6}) EXPECT_TRUE(tracked[r * kRowLen]) << r;
+  // ...and every float that differs from the last cut is covered.
+  const SparseAdam::State now = adam.Snapshot();
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (params[i] != params_at_cut[i] || now.m[i] != at_cut.m[i] ||
+        now.v[i] != at_cut.v[i]) {
+      EXPECT_TRUE(tracked[i]) << "untracked change at float " << i;
+    }
+  }
+}
+
+TEST(SparseAdamTest, RestoreAcrossCheckpointCutOverflows) {
+  std::vector<float> params(kRows * kRowLen, 1.0f);
+  SparseAdam adam = TrackedAdam();
+  StepRows(adam, params, {1});
+  const SparseAdam::State snap = adam.Snapshot();
+  adam.ClearCheckpointDirty();
+  StepRows(adam, params, {2});
+  adam.Restore(snap);
+  EXPECT_TRUE(adam.checkpoint_dirty_overflow());
+}
+
+TEST(SparseAdamTest, RestoreOfForeignStateOverflows) {
+  std::vector<float> params(kRows * kRowLen, 1.0f);
+  SparseAdam adam = TrackedAdam();
+  SparseAdam other(kRows * kRowLen, 0.1, 0.01);
+  adam.Restore(other.Snapshot());
+  EXPECT_TRUE(adam.checkpoint_dirty_overflow());
+
+  // A State built field by field (as a checkpoint loader does) carries
+  // epoch 0, which no optimizer ever holds.
+  adam.ClearCheckpointDirty();
+  SparseAdam::State loaded;
+  loaded.m.assign(kRows * kRowLen, 0.0f);
+  loaded.v.assign(kRows * kRowLen, 0.0f);
+  adam.Restore(loaded);
+  EXPECT_TRUE(adam.checkpoint_dirty_overflow());
 }
 
 TEST(SparseAdamTest, DescendsOnQuadratic) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "util/math_utils.h"
@@ -196,6 +198,91 @@ TEST(SupaModelTest, SnapshotRestoreRoundTrip) {
   EXPECT_NE(model.Score(1, 300, 0), score);
   model.RestoreSnapshot(snap);
   EXPECT_EQ(model.Score(1, 300, 0), score);
+}
+
+/// Trains + observes edges [begin, end) of the stream.
+void TrainPrefix(SupaModel& model, const Dataset& data, size_t begin,
+                 size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    ASSERT_TRUE(model.TrainEdge(data.edges[i]).ok());
+    ASSERT_TRUE(model.ObserveEdge(data.edges[i]).ok());
+  }
+}
+
+void ExpectSameState(const SupaModel::Snapshot& a,
+                     const SupaModel::Snapshot& b) {
+  EXPECT_EQ(a.params, b.params);
+  EXPECT_EQ(a.adam.m, b.adam.m);
+  EXPECT_EQ(a.adam.v, b.adam.v);
+  EXPECT_EQ(a.adam.step, b.adam.step);
+}
+
+/// With no checkpoint cut since `at_cut`, a Φ_best restore keeps row
+/// tracking, and the tracked rows cover every float that differs from the
+/// cut state — what the next delta link must carry.
+void ExpectTrackedSinceCut(const SupaModel& model,
+                           const SupaModel::Snapshot& at_cut) {
+  const SparseAdam& adam = model.optimizer();
+  ASSERT_FALSE(adam.checkpoint_dirty_overflow());
+  const SupaModel::Snapshot now = model.TakeSnapshot();
+  std::vector<bool> tracked(now.params.size(), false);
+  adam.checkpoint_dirty_rows().ForEach([&](size_t offset, uint32_t len) {
+    for (size_t i = offset; i < offset + len; ++i) tracked[i] = true;
+  });
+  size_t untracked = 0;
+  for (size_t i = 0; i < now.params.size(); ++i) {
+    if (!tracked[i] && (now.params[i] != at_cut.params[i] ||
+                        now.adam.m[i] != at_cut.adam.m[i] ||
+                        now.adam.v[i] != at_cut.adam.v[i])) {
+      ++untracked;
+    }
+  }
+  EXPECT_EQ(untracked, 0u);
+}
+
+TEST(SupaModelTest, SameSnapshotRestoresRepeatedly) {
+  Dataset data = MakeTaobao(0.2, 22).value();
+  SupaModel model(data, SmallConfig());
+  TrainPrefix(model, data, 0, 100);
+  const SupaModel::Snapshot snap = model.TakeSnapshot();
+
+  for (int round = 0; round < 3; ++round) {
+    // Train-only (snapshots cover parameters, not the graph, so the same
+    // edges can be re-trained but must not be re-observed).
+    for (size_t i = 100; i < 160; ++i) {
+      ASSERT_TRUE(model.TrainEdge(data.edges[i]).ok());
+    }
+    model.RestoreSnapshot(snap);
+    ExpectSameState(model.TakeSnapshot(), snap);
+  }
+}
+
+TEST(SupaModelTest, InterleavedSnapshotsRestoreInAnyOrder) {
+  Dataset data = MakeTaobao(0.2, 23).value();
+  SupaModel model(data, SmallConfig());
+  TrainPrefix(model, data, 0, 40);
+  model.optimizer().set_checkpoint_tracking(true);
+  model.optimizer().ClearCheckpointDirty();
+  const SupaModel::Snapshot at_cut = model.TakeSnapshot();
+
+  TrainPrefix(model, data, 40, 80);
+  const SupaModel::Snapshot snap_a = model.TakeSnapshot();
+  TrainPrefix(model, data, 80, 160);
+  const SupaModel::Snapshot snap_b = model.TakeSnapshot();
+  TrainPrefix(model, data, 160, 220);
+
+  model.RestoreSnapshot(snap_a);
+  ExpectSameState(model.TakeSnapshot(), snap_a);
+  ExpectTrackedSinceCut(model, at_cut);
+
+  model.RestoreSnapshot(snap_b);
+  ExpectSameState(model.TakeSnapshot(), snap_b);
+  ExpectTrackedSinceCut(model, at_cut);
+
+  // A cut ends the epoch: the older snapshot now overflows tracking.
+  model.optimizer().ClearCheckpointDirty();
+  model.RestoreSnapshot(snap_a);
+  EXPECT_TRUE(model.optimizer().checkpoint_dirty_overflow());
 }
 
 TEST(SupaModelTest, TrainEdgeRejectsBadEdges) {

@@ -25,6 +25,7 @@
 #include "dur/engine.h"
 #include "dur/manifest.h"
 #include "dur/wal.h"
+#include "obs/metrics.h"
 
 namespace supa::dur {
 namespace {
@@ -207,6 +208,37 @@ TEST_F(DurRecoveryTest, EngineLeavesTrainingBitIdentical) {
   ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
   ASSERT_GE(manifest.value().links.size(), 2u);
   EXPECT_EQ(manifest.value().links[0].kind, ManifestLink::Kind::kBase);
+}
+
+TEST_F(DurRecoveryTest, RollbacksKeepCheckpointLinksRowGranular) {
+  // Every batch rolls back to Φ_best before its cut. The rollback happens
+  // inside one checkpoint epoch, so it must not force a full base: after
+  // the first base every cut is a delta link, and the chain recovers the
+  // live model bit for bit.
+  const uint64_t restores_before =
+      obs::MetricsRegistry::Global().Snapshot().CounterValue(
+          "snapshot.full_restores");
+  RunDurable(Dir("chain"), /*compact_threshold=*/1000);
+  EXPECT_GT(obs::MetricsRegistry::Global().Snapshot().CounterValue(
+                "snapshot.full_restores"),
+            restores_before);
+
+  auto manifest = LoadManifest(Dir("chain"));
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  const std::vector<ManifestLink>& links = manifest.value().links;
+  ASSERT_GE(links.size(), 3u);
+  EXPECT_EQ(links[0].kind, ManifestLink::Kind::kBase);
+  for (size_t i = 1; i < links.size(); ++i) {
+    EXPECT_EQ(links[i].kind, ManifestLink::Kind::kDelta) << "link " << i;
+  }
+
+  SupaModel model(data_, ModelConfig());
+  auto recovered = Recover(Dir("chain"), &model);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value().links_applied, links.size());
+  ASSERT_TRUE(SaveCheckpoint(model, Dir("chain") + "/recovered.bin").ok());
+  EXPECT_EQ(ReadBytes(Dir("chain") + "/recovered.bin"),
+            ReadBytes(Dir("chain") + "/final.bin"));
 }
 
 TEST_F(DurRecoveryTest, RecoversBitIdenticallyAtSeveralWalOffsets) {
