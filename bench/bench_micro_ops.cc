@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 
@@ -14,6 +15,8 @@
 #include "dur/checkpoint.h"
 #include "dur/delta_writer.h"
 #include "dur/wal.h"
+#include "graph/metapath.h"
+#include "graph/walker.h"
 #include "obs/metrics.h"
 #include "obs/model_monitor.h"
 #include "obs/perf_counters.h"
@@ -269,6 +272,41 @@ void BM_InfluencedGraphSamplingArena(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InfluencedGraphSamplingArena)->Arg(1)->Arg(4)->Arg(16);
+
+// One metapath hop out of a hub of degree `range(0)` whose neighbors are all
+// admissible: the reservoir scan visits, and draws for, every neighbor. The
+// ns_per_neighbor counter is the per-visited-neighbor cost of a hop.
+void BM_MetapathHop(benchmark::State& state) {
+  const size_t degree = static_cast<size_t>(state.range(0));
+  Schema schema;
+  const NodeTypeId user = schema.AddNodeType("User");
+  const NodeTypeId item = schema.AddNodeType("Item");
+  const EdgeTypeId click = schema.AddEdgeType("click");
+  std::vector<NodeTypeId> node_types(degree + 1, item);
+  node_types[0] = user;
+  DynamicGraph graph(schema, node_types);
+  for (size_t i = 1; i <= degree; ++i) {
+    (void)graph.AddEdge(0, static_cast<NodeId>(i), click,
+                        static_cast<Timestamp>(i));
+  }
+  const MetapathSchema path =
+      MetapathSchema::Parse("User -{click}-> Item", schema).value();
+  Walker walker(graph);
+  Rng rng(1);
+  WalkBuffer buffer;
+  const auto begin = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    buffer.Clear();
+    benchmark::DoNotOptimize(
+        walker.SampleMetapathWalkInto(0, path, 2, rng, &buffer));
+  }
+  const double wall_ns = std::chrono::duration<double, std::nano>(
+                             std::chrono::steady_clock::now() - begin)
+                             .count();
+  state.counters["ns_per_neighbor"] =
+      wall_ns / static_cast<double>(state.iterations() * degree);
+}
+BENCHMARK(BM_MetapathHop)->Arg(16)->Arg(64)->Arg(256);
 
 // ---- Snapshots: Algorithm 1's full-buffer Φ_best copy -------------------
 

@@ -1,6 +1,7 @@
 #include "graph/walker.h"
 
 #include <algorithm>
+#include <span>
 
 namespace supa {
 
@@ -8,16 +9,25 @@ bool Walker::SampleAdmissible(NodeId v, EdgeTypeMask mask,
                               NodeTypeId dst_type, Rng& rng,
                               Neighbor* out) const {
   // Reservoir sampling over the capped window keeps this one pass and
-  // allocation-free.
-  auto window = store_->Neighbors(v);
+  // allocation-free. The generator runs on a local copy, so its state stays
+  // in registers for the whole scan and is written back once; the node-type
+  // table is read through a pointer taken once. The draws, the pick and the
+  // final generator state equal those of drawing on `rng` per neighbor.
+  const std::span<const Neighbor> window = store_->Neighbors(v);
+  const NodeTypeId* node_types = store_->shared_node_types()->data();
+  Rng local = rng;
+  const Neighbor* pick = nullptr;
   size_t seen = 0;
   for (const Neighbor& nb : window) {
     if (!MaskContains(mask, nb.edge_type)) continue;
-    if (store_->NodeType(nb.node) != dst_type) continue;
+    if (node_types[nb.node] != dst_type) continue;
     ++seen;
-    if (rng.Index(seen) == 0) *out = nb;
+    if (local.Index(seen) == 0) pick = &nb;
   }
-  return seen > 0;
+  rng = local;
+  if (pick == nullptr) return false;
+  *out = *pick;
+  return true;
 }
 
 Walk Walker::SampleMetapathWalk(NodeId start, const MetapathSchema& schema,

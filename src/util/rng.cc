@@ -13,46 +13,11 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(sm);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-uint64_t Rng::NextBelow(uint64_t n) {
-  assert(n > 0);
-  // Lemire's nearly-divisionless bounded sampling with rejection.
-  uint64_t x = Next();
-  __uint128_t m = static_cast<__uint128_t>(x) * n;
-  uint64_t l = static_cast<uint64_t>(m);
-  if (l < n) {
-    uint64_t threshold = (0 - n) % n;
-    while (l < threshold) {
-      x = Next();
-      m = static_cast<__uint128_t>(x) * n;
-      l = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) {

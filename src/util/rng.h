@@ -6,6 +6,7 @@
 #ifndef SUPA_UTIL_RNG_H_
 #define SUPA_UTIL_RNG_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -20,14 +21,45 @@ class Rng {
   /// Seeds the generator; equal seeds produce identical streams.
   explicit Rng(uint64_t seed = 0x5eed5eed5eed5eedULL);
 
+  // Next, NextBelow and NextDouble are inline: the sampler draws once per
+  // admissible neighbor, and an out-of-line call per draw dominated the
+  // metapath hop (DESIGN.md §8.3).
+
   /// Next raw 64-bit value.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, n). Requires n > 0.
-  uint64_t NextBelow(uint64_t n);
+  uint64_t NextBelow(uint64_t n) {
+    assert(n > 0);
+    // Lemire's nearly-divisionless bounded sampling with rejection.
+    uint64_t x = Next();
+    __uint128_t m = static_cast<__uint128_t>(x) * n;
+    uint64_t l = static_cast<uint64_t>(m);
+    if (l < n) [[unlikely]] {
+      const uint64_t threshold = (0 - n) % n;
+      while (l < threshold) {
+        x = Next();
+        m = static_cast<__uint128_t>(x) * n;
+        l = static_cast<uint64_t>(m);
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   /// Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
@@ -75,6 +107,10 @@ class Rng {
   void set_state(const State& st);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace supa {
 namespace {
@@ -186,6 +187,153 @@ TEST(WalkerNode2vecTest, WalkStaysOnGraph) {
       prev = step.node;
     }
   }
+}
+
+// ---- Reservoir equivalence ------------------------------------------------
+
+// The textbook one-pass reservoir scan, drawing on the caller's generator
+// once per admissible neighbor, written against the public store API. The
+// walker's scan must reproduce its hops and its generator state exactly.
+struct ReferenceStats {
+  size_t inadmissible = 0;    // neighbors skipped by the mask or dst type
+  size_t empty_hops = 0;      // hops with no admissible neighbor
+  size_t truncated_hops = 0;  // hops whose window the cap η shortened
+};
+
+bool ReferenceSampleAdmissible(const store::GraphStore& store, NodeId v,
+                               EdgeTypeMask mask, NodeTypeId dst_type,
+                               Rng& rng, Neighbor* out,
+                               ReferenceStats* stats) {
+  const auto window = store.Neighbors(v);
+  if (window.size() < store.Degree(v)) ++stats->truncated_hops;
+  size_t seen = 0;
+  for (const Neighbor& nb : window) {
+    if (!MaskContains(mask, nb.edge_type) ||
+        store.NodeType(nb.node) != dst_type) {
+      ++stats->inadmissible;
+      continue;
+    }
+    ++seen;
+    if (rng.Index(seen) == 0) *out = nb;
+  }
+  if (seen == 0) ++stats->empty_hops;
+  return seen > 0;
+}
+
+std::vector<WalkStep> ReferenceWalk(const store::GraphStore& store,
+                                    NodeId start,
+                                    const MetapathSchema& schema,
+                                    size_t walk_len, Rng& rng,
+                                    ReferenceStats* stats) {
+  std::vector<WalkStep> steps;
+  if (walk_len <= 1 || store.NodeType(start) != schema.head()) return steps;
+  NodeId cur = start;
+  for (size_t hop = 0; hop + 1 < walk_len; ++hop) {
+    const MetapathStep& constraint = schema.StepAt(hop);
+    Neighbor nb;
+    if (!ReferenceSampleAdmissible(store, cur, constraint.edge_types,
+                                   constraint.dst_type, rng, &nb, stats)) {
+      break;
+    }
+    steps.push_back(WalkStep{nb.node, nb.edge_type, nb.time});
+    cur = nb.node;
+  }
+  return steps;
+}
+
+void ExpectSameState(const Rng& got, const Rng& want) {
+  const Rng::State a = got.state();
+  const Rng::State b = want.state();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(a.s[i], b.s[i]) << "word " << i;
+  EXPECT_EQ(a.has_cached_gaussian, b.has_cached_gaussian);
+}
+
+TEST(WalkerReservoirTest, MatchesReferenceScanOnRandomMultiplexGraphs) {
+  // Types: 0 User, 1 Item, 2 Shop; edges: 0 click, 1 buy, 2 fav. Endpoints
+  // and edge types are drawn independently, so many neighbors fail the
+  // mask or the destination type.
+  Schema schema;
+  schema.AddNodeType("User");
+  schema.AddNodeType("Item");
+  schema.AddNodeType("Shop");
+  schema.AddEdgeType("click");
+  schema.AddEdgeType("buy");
+  schema.AddEdgeType("fav");
+  const EdgeTypeMask click = EdgeTypeBit(0);
+  const EdgeTypeMask buy = EdgeTypeBit(1);
+  const EdgeTypeMask fav = EdgeTypeBit(2);
+  struct Case {
+    MetapathSchema path;
+    size_t walk_len;
+  };
+  const std::vector<Case> cases = {
+      {MetapathSchema(0, {{click | buy, 1}, {click | buy, 0}}), 5},
+      {MetapathSchema(0, {{click, 1}, {buy, 0}}), 4},
+      {MetapathSchema(1, {{fav, 2}, {fav | click, 1}}), 3},
+      {MetapathSchema(2, {{click | buy | fav, 0}}), 2},
+  };
+
+  ReferenceStats stats;
+  size_t removed = 0;
+  size_t walks = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng build(seed);
+    const size_t num_nodes = 40 + build.Index(20);
+    std::vector<NodeTypeId> types(num_nodes);
+    for (auto& t : types) t = static_cast<NodeTypeId>(build.Index(3));
+    DynamicGraph graph(schema, types);
+    struct Added {
+      NodeId u, v;
+      EdgeTypeId r;
+    };
+    std::vector<Added> added;
+    // The last four nodes get no edges at all.
+    for (int e = 0; e < 400; ++e) {
+      const auto u = static_cast<NodeId>(build.Index(num_nodes - 4));
+      const auto v = static_cast<NodeId>(build.Index(num_nodes - 4));
+      if (u == v) continue;
+      const auto r = static_cast<EdgeTypeId>(build.Index(3));
+      ASSERT_TRUE(graph.AddEdge(u, v, r, static_cast<double>(e)).ok());
+      added.push_back({u, v, r});
+    }
+    // Remove a fifth of the edges, so windows close up over the gaps and
+    // (under a cap) older neighbors slide back into view.
+    for (size_t i = 0; i < added.size() / 5; ++i) {
+      const Added& a = added[build.Index(added.size())];
+      if (graph.RemoveEdge(a.u, a.v, a.r).ok()) ++removed;
+    }
+    graph.set_neighbor_cap(seed % 3 == 0 ? 0 : 3 + seed % 5);
+
+    Walker walker(graph);
+    Rng rng(seed * 7919);
+    Rng ref_rng = rng;
+    WalkBuffer buffer;
+    for (const Case& c : cases) {
+      for (NodeId start = 0; start < num_nodes; ++start) {
+        buffer.Clear();
+        const size_t hops =
+            walker.SampleMetapathWalkInto(start, c.path, c.walk_len, rng,
+                                          &buffer);
+        const std::vector<WalkStep> want = ReferenceWalk(
+            graph.store(), start, c.path, c.walk_len, ref_rng, &stats);
+        ASSERT_EQ(hops, want.size()) << "seed " << seed << " start " << start;
+        if (hops > 0) {
+          const WalkBuffer::Span& span = buffer.walk(0);
+          const std::vector<WalkStep> got(buffer.steps_of(span),
+                                          buffer.steps_of(span) + hops);
+          EXPECT_EQ(got, want) << "seed " << seed << " start " << start;
+        }
+        ExpectSameState(rng, ref_rng);
+        ++walks;
+      }
+    }
+  }
+  // The sweep must actually reach every branch of the scan.
+  EXPECT_GT(walks, 1000u);
+  EXPECT_GT(removed, 100u);
+  EXPECT_GT(stats.inadmissible, 1000u);
+  EXPECT_GT(stats.empty_hops, 50u);
+  EXPECT_GT(stats.truncated_hops, 100u);
 }
 
 }  // namespace

@@ -45,6 +45,7 @@
 #include "obs/trace.h"
 #include "serve/engine.h"
 #include "serve/http.h"
+#include "util/thread_pool.h"
 #include "util/tsv.h"
 
 namespace supa {
@@ -665,6 +666,10 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "bad admin port: %s\n", admin_port.c_str());
       return 2;
     }
+    // The shared pool registers the threadpool.* series on construction.
+    // Build it before the port is announced, so a scrape taken as soon as
+    // the port binds already holds them.
+    (void)ThreadPool::Shared();
     obs::AdminServerOptions options;
     options.port = static_cast<uint16_t>(port.value());
     admin = std::make_unique<obs::AdminServer>(options);
